@@ -156,7 +156,7 @@ def bench_playouts(
     )
 
 
-def _normalized_deltas(engine, state, symbol_map):
+def _normalized_deltas(engine, state, moves, symbol_map):
     """Canonical delta text -> move, variables stripped, symbols mapped.
 
     The ludemic dialect has no variables and its piece names differ, so
@@ -166,7 +166,7 @@ def _normalized_deltas(engine, state, symbol_map):
     board = engine.board
     symbols = engine.piece_symbols
     out = {}
-    for m in engine.legal_moves(state):
+    for m in moves:
         delta = move_delta(state, m)
         cells = sorted(
             f"{board.encode_coord(v)}={symbol_map.get(symbols[p], symbols[p])}"
@@ -214,13 +214,13 @@ def cross_validate(
         rng = Prng(seed + walk)
         states = {label: engines[label].initial_state() for label in labels}
         for ply in range(max_plies):
-            # Terminality first: a terminal regex-dialect state has no
-            # moves while the ludemic engine may still list placements
-            # its end rule makes unreachable.
-            payoffs = {
-                label: engines[label].terminal_result(states[label])
-                for label in labels
+            # One probe per state. Terminality first: a terminal
+            # regex-dialect state has no moves while the ludemic engine
+            # may still list placements its end rule makes unreachable.
+            probes = {
+                label: engines[label].probe(states[label]) for label in labels
             }
+            payoffs = {label: probes[label][1] for label in labels}
             if any(p is not None for p in payoffs.values()):
                 if len({tuple(sorted(p.items())) if p else None
                         for p in payoffs.values()}) != 1:
@@ -229,7 +229,9 @@ def cross_validate(
                     )
                 break
             tables = {
-                label: _normalized_deltas(engines[label], states[label], maps[label])
+                label: _normalized_deltas(
+                    engines[label], states[label], probes[label][0], maps[label]
+                )
                 for label in labels
             }
             keysets = {label: frozenset(t) for label, t in tables.items()}

@@ -7,7 +7,7 @@ ordering and cross-dialect comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 from .board import BoardGraph
 

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby
 
 from .board import BoardGraph
-from .model import GameState, Move, encode_delta, encode_effects, move_delta
+from .model import GameState, Move, encode_effects
 from .rng import Prng
 
 DEFAULT_MAX_PLIES = 1000
@@ -44,25 +46,62 @@ class Engine:
 
     # -- shared helpers -------------------------------------------------
 
+    @cached_property
+    def cell_tokens(self) -> tuple[tuple[str, ...], ...]:
+        """``cell_tokens[vertex][piece]`` is the delta text of one cell write."""
+        board, symbols = self.board, self.piece_symbols
+        return tuple(
+            tuple(f"cell:{board.encode_coord(v)}={s}" for s in symbols)
+            for v in range(board.vertex_count)
+        )
+
     def delta_text(self, state: GameState, move: Move) -> str:
-        return encode_delta(move_delta(state, move), self.board, self.piece_symbols)
+        """``encode_delta(move_delta(state, move), ...)`` from cached tokens."""
+        cells = {}
+        variables = None
+        mover = state.mover
+        for eff in move.effects:
+            kind = eff[0]
+            if kind == "cell":
+                cells[eff[1]] = eff[2]
+            elif kind == "pass":
+                mover = eff[1]
+            elif kind == "var":
+                if variables is None:
+                    variables = {}
+                variables[eff[1]] = eff[2]
+        contents = state.contents
+        tokens = self.cell_tokens
+        changed = [tokens[v][p] for v, p in cells.items() if contents[v] != p]
+        changed.sort()
+        text = ",".join(changed)
+        if variables:
+            old = state.variables
+            for name in sorted(variables):
+                val = variables[name]
+                if old.get(name, 0) != val:
+                    text += f";var:{name}={val}"
+        return f"{text};mover={mover}"
 
     def sort_moves(self, state: GameState, moves: list[Move]) -> list[Move]:
-        """Canonical order: delta encoding, then raw effect encoding."""
+        """Canonical order: delta text, then raw effect text among moves
+        with equal delta text; moves equal in both keep their input order."""
+        delta_text = self.delta_text
+        texts = [delta_text(state, m) for m in moves]
+        order = sorted(range(len(moves)), key=texts.__getitem__)
+        if len(set(texts)) == len(texts):
+            return [moves[i] for i in order]
         board, symbols = self.board, self.piece_symbols
-        return sorted(
-            moves,
-            key=lambda m: (
-                encode_delta(move_delta(state, m), board, symbols),
-                encode_effects(m, board, symbols),
-            ),
-        )
+        out = []
+        for _, run in groupby(order, key=texts.__getitem__):
+            group = [moves[i] for i in run]
+            if len(group) > 1:
+                group.sort(key=lambda m: encode_effects(m, board, symbols))
+            out += group
+        return out
 
     def legal_moves(self, state: GameState) -> list[Move]:
         return self.probe(state)[0]
-
-    def terminal_result(self, state: GameState):
-        return self.probe(state)[1]
 
 
 @dataclass

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.board import BoardGraph, build_hex_board, build_rectangle_board
 from ..core.model import NEUTRAL, PieceTable

@@ -7,7 +7,7 @@ carry no escapes, and `//` starts a line comment.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 class Unbalanced(ValueError):

@@ -28,8 +28,7 @@ from ..core.model import (
 from ..core.playout import Engine
 from . import ast
 from .expand import RbgValidationError, expand_macros, validate
-from .lexer import tokenize_rbg
-from .nfa import Nfa, build_nfa, eliminate_epsilon
+from .nfa import Nfa, build_nfa
 from .parser import parse_rbg
 
 

@@ -73,6 +73,25 @@ def test_cross_validate_clean_game():
     assert set(counts) == {"rbg-interp", "rbg-compiled", "ludemic"}
 
 
+def test_cross_validate_probes_each_walk_state_once():
+    engines = {
+        bench.MODE_LABELS[m]: library.make_engine("connect4", m)
+        for m in bench.MODES
+    }
+    probes = {}  # id(state) -> [state, probe count]; the state stays alive
+    for engine in engines.values():
+        def counted(state, probe=engine.probe):
+            probes.setdefault(id(state), [state, 0])[1] += 1
+            return probe(state)
+        engine.probe = counted
+    report = bench.cross_validate(
+        "connect4", depth=0, walk_count=3, seed=0, engines=engines
+    )
+    assert bench.report_ok(report)
+    assert len(probes) > 3 * 3 * 10
+    assert {n for _, n in probes.values()} == {1}
+
+
 def corrupted_engines(substitution):
     """tictactoe engine triple with a mutated ludemic description."""
     text = library.load_description("tictactoe", "ludemic")
