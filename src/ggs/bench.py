@@ -14,7 +14,6 @@ import io
 import time
 from dataclasses import dataclass
 
-from .core.model import move_delta
 from .core.playout import DEFAULT_MAX_PLIES, run_playout
 from .core.rng import Prng
 from .ludeme.sexpr import _tokens as _lud_tokens
@@ -156,24 +155,39 @@ def bench_playouts(
     )
 
 
-def _normalized_deltas(engine, state, moves, symbol_map):
+def _cell_tokens(engine, symbol_map) -> tuple:
+    """``tokens[vertex][piece] == "<coord>=<mapped symbol>"``."""
+    board = engine.board
+    symbols = [symbol_map.get(s, s) for s in engine.piece_symbols]
+    return tuple(
+        tuple(f"{board.encode_coord(v)}={s}" for s in symbols)
+        for v in range(board.vertex_count)
+    )
+
+
+def _normalized_deltas(state, moves, tokens):
     """Canonical delta text -> move, variables stripped, symbols mapped.
 
     The ludemic dialect has no variables and its piece names differ, so
     cross-dialect equality is judged on cell changes plus the next mover,
-    with symbols translated through the game's symbol map.
+    with symbols translated through the game's symbol map (``tokens``, from
+    ``_cell_tokens``). As in ``Engine.delta_text``, later writes win and
+    no-op writes are dropped.
     """
-    board = engine.board
-    symbols = engine.piece_symbols
+    contents = state.contents
     out = {}
     for m in moves:
-        delta = move_delta(state, m)
-        cells = sorted(
-            f"{board.encode_coord(v)}={symbol_map.get(symbols[p], symbols[p])}"
-            for v, p in delta.cell_changes
-        )
-        text = ",".join(cells) + f";mover={delta.next_mover}"
-        out.setdefault(text, m)
+        cells = {}
+        mover = state.mover
+        for eff in m.effects:
+            kind = eff[0]
+            if kind == "cell":
+                cells[eff[1]] = eff[2]
+            elif kind == "pass":
+                mover = eff[1]
+        changed = [tokens[v][p] for v, p in cells.items() if contents[v] != p]
+        changed.sort()
+        out.setdefault(",".join(changed) + f";mover={mover}", m)
     return out
 
 
@@ -196,8 +210,11 @@ def cross_validate(
         symbol_map = library.get_game(game).symbol_map
     labels = list(engines)
     # rbg symbols pass through untouched; ludemic symbols are translated.
-    maps = {
-        label: (symbol_map if label == "ludemic" else {}) for label in labels
+    tokens = {
+        label: _cell_tokens(
+            engines[label], symbol_map if label == "ludemic" else {}
+        )
+        for label in labels
     }
 
     perft_agreement = {}
@@ -230,7 +247,7 @@ def cross_validate(
                 break
             tables = {
                 label: _normalized_deltas(
-                    engines[label], states[label], probes[label][0], maps[label]
+                    states[label], probes[label][0], tokens[label]
                 )
                 for label in labels
             }

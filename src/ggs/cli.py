@@ -44,6 +44,30 @@ def _fail(message: str) -> int:
     return 1
 
 
+# Subcommands that take only library games, never a file path.
+_LIBRARY_ONLY = ("bench", "xval", "table")
+
+
+def _usage_problem(args) -> str | None:
+    """Why parsed arguments cannot run (a usage error), or None."""
+    game = getattr(args, "game", None)
+    if game is not None and (
+        args.subcommand in _LIBRARY_ONLY or not _is_path(game)
+    ):
+        try:
+            library.get_game(game)
+        except library.UnknownGame:
+            return f"unknown game {game!r}"
+    seconds = getattr(args, "seconds", None)
+    if seconds is not None and not seconds > 0:
+        return f"--seconds must be positive, not {seconds}"
+    if getattr(args, "count", 1) < 1:
+        return f"--count must be positive, not {args.count}"
+    if getattr(args, "depth", 0) < 0:
+        return f"--depth must be non-negative, not {args.depth}"
+    return None
+
+
 def cmd_validate(args) -> int:
     path = Path(args.file)
     dialect = "ludemic" if path.suffix == ".lud" else "rbg"
@@ -227,6 +251,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.subcommand == "table" and not args.all and not args.game:
         parser.error("table needs a game name or --all")
+    problem = _usage_problem(args)
+    if problem is not None:
+        print(f"ggs {args.subcommand}: error: {problem}", file=sys.stderr)
+        return 2
     return args.func(args)
 
 

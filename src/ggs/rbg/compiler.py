@@ -4,7 +4,9 @@ program, and the compiled executor that runs it.
 Passes: epsilon elimination, per-node instruction emission, Shift+On
 fusion into GuardedShift, and collapsing guarded G(G)* ray shapes into a
 single RayScan that emits every prefix stop in one pass over the
-precomputed shift table.
+precomputed shift table.  Each distinct lookahead sub-automaton is
+lowered once; every CHECK on it points at the same entry.  The executor
+treats lookahead as the interpreter does (see ``engine``).
 """
 
 from __future__ import annotations
@@ -50,9 +52,9 @@ class LoweredProgram:
 
 
 class _Lowerer:
-    def __init__(self, board):
-        self.board = board
+    def __init__(self):
         self.instrs: list = []
+        self.sub_entry: dict[int, int] = {}  # id(sub Nfa) -> entry index
 
     def add(self, instr) -> int:
         self.instrs.append(instr)
@@ -91,8 +93,12 @@ class _Lowerer:
         if kind == "keep":
             return self.add((EMIT, None, target))
         if kind == "check":
-            sub_map = self.lower_nfa(label[2], sub=True)
-            return self.add((CHECK, label[1], sub_map[label[2].start], label[3], nxt))
+            sub = label[2]
+            entry = self.sub_entry.get(id(sub))
+            if entry is None:
+                entry = self.lower_nfa(sub, sub=True)[sub.start]
+                self.sub_entry[id(sub)] = entry
+            return self.add((CHECK, label[1], entry, label[3], nxt))
         raise ValueError(f"unexpected label {label!r}")
 
     # -- peephole passes ------------------------------------------------
@@ -178,7 +184,7 @@ def lower(nfa: Nfa, board) -> LoweredProgram:
     first) into a fused instruction program."""
     if any(label[0] == "eps" for out in nfa.edges for label, _ in out):
         nfa = eliminate_epsilon(nfa)
-    low = _Lowerer(board)
+    low = _Lowerer()
     node_idx = low.lower_nfa(nfa, sub=False)
     low.simplify()
     entry = {n: low._resolve(i) for n, i in node_idx.items()}
@@ -244,12 +250,16 @@ class RbgCompiledEngine(RbgEngineBase):
         effects: list = []
         visited: set = set()
         found: dict = {}
+        # (sub entry, vertex, effects) -> body found; within this call the
+        # effects fix the tentative board and variables.
+        lookahead: dict = {}
         cap = self._effect_cap
 
         def walk(idx: int, vertex: int):
             if len(effects) > cap:
                 raise RuntimeError("runaway effect sequence in rules pattern")
-            key = (idx, vertex, tuple(effects))
+            so_far = tuple(effects)
+            key = (idx, vertex, so_far)
             if key in visited:
                 return
             visited.add(key)
@@ -301,8 +311,13 @@ class RbgCompiledEngine(RbgEngineBase):
                 if (seq, replay) not in found:
                     found[(seq, replay)] = Move(seq, replay, (instr[2], vertex))
             elif op == CHECK:
-                if self._exists(instr[2], vertex, contents, variables, instr[3]) \
-                        == instr[1]:
+                query = (instr[2], vertex, so_far)
+                hit = lookahead.get(query)
+                if hit is None:
+                    hit = lookahead[query] = self._exists(
+                        instr[2], vertex, contents, variables, instr[3]
+                    )
+                if hit == instr[1]:
                     walk(instr[4], vertex)
             # ACCEPT unreachable in the main program
 
@@ -310,9 +325,63 @@ class RbgCompiledEngine(RbgEngineBase):
         return list(found.values())
 
     def _exists(self, entry: int, vertex: int, contents, variables, pure) -> bool:
+        """Existence search for a lookahead body; see the interpreter's."""
         instrs = self.program.instrs
         shift = self.program.shift_table
-        visited: set = set()
+        if pure:
+            seen = {(entry, vertex)}
+            stack = [(entry, vertex)]
+            while stack:
+                idx, v = stack.pop()
+                instr = instrs[idx]
+                op = instr[0]
+                if op == ACCEPT:
+                    return True
+                if op == FORK:
+                    for t in instr[1]:
+                        nxt = (t, v)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+                    continue
+                if op == GSHIFT:
+                    nv = shift[instr[1]][v]
+                    if nv < 0 or contents[nv] not in instr[2]:
+                        continue
+                    nxt = (instr[3], nv)
+                elif op == RAYSCAN:
+                    table = shift[instr[1]]
+                    ps, cont = instr[2], instr[3]
+                    nv = table[v]
+                    while nv >= 0 and contents[nv] in ps:
+                        nxt = (cont, nv)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+                        nv = table[nv]
+                    continue
+                elif op == SHIFT:
+                    nv = shift[instr[1]][v]
+                    if nv < 0:
+                        continue
+                    nxt = (instr[2], nv)
+                elif op == ON:
+                    if contents[v] not in instr[1]:
+                        continue
+                    nxt = (instr[2], v)
+                elif op == CHECK:
+                    if self._exists(
+                        instr[2], v, contents, variables, instr[3]
+                    ) != instr[1]:
+                        continue
+                    nxt = (instr[4], v)
+                else:  # pure bodies hold no writes
+                    continue
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+            return False
+
         path_seen: dict = {}
         # Counts actual state changes only; see the interpreter's note.
         mutations = [0]
@@ -323,12 +392,6 @@ class RbgCompiledEngine(RbgEngineBase):
             op = instr[0]
             if op == ACCEPT:
                 return True
-            if pure:
-                key = (idx, vertex)
-                if key in visited:
-                    return False
-                visited.add(key)
-                return step(instr, op, vertex)
             key = (idx, vertex)
             prev = path_seen.get(key)
             if prev == mutations[0]:

@@ -5,6 +5,13 @@ Legal-move search is a depth-first walk over automaton configurations
 at every switch edge; move identity is the emitted effect sequence.  The
 search memoizes (node, vertex, effects-so-far) configurations, which both
 guards against pure loops and merges duplicate action paths.
+
+Lookahead checks run ``_exists`` on the check body's sub-automaton, which
+equal bodies share.  Within one ``semimoves`` call its answers are
+memoized on (sub-automaton, vertex, effects-so-far), so ``{? b}`` and
+``{! b}`` at one configuration cost one search.  Mutation-free bodies are
+searched with an explicit stack; mutating ones by a recursive walk with a
+per-path loop guard and a mutation budget.
 """
 
 from __future__ import annotations
@@ -211,6 +218,9 @@ class RbgInterpreterEngine(RbgEngineBase):
         effects: list = []
         visited: set = set()
         found: dict = {}
+        # (id(sub), vertex, effects) -> body found; within this call the
+        # effects fix the tentative board and variables.
+        lookahead: dict = {}
         cap = self._effect_cap
 
         def emit(switch_eff, replay: bool, target: int, vertex: int):
@@ -218,14 +228,11 @@ class RbgInterpreterEngine(RbgEngineBase):
             if (seq, replay) not in found:
                 found[(seq, replay)] = Move(seq, replay, (target, vertex))
 
-        def check_ok(label, vertex: int) -> bool:
-            positive, sub, pure = label[1], label[2], label[3]
-            return self._exists(sub, vertex, contents, variables, pure) == positive
-
         def walk(node: int, vertex: int):
             if len(effects) > cap:
                 raise RuntimeError("runaway effect sequence in rules pattern")
-            key = (node, vertex, tuple(effects))
+            so_far = tuple(effects)
+            key = (node, vertex, so_far)
             if key in visited:
                 return
             visited.add(key)
@@ -262,7 +269,14 @@ class RbgInterpreterEngine(RbgEngineBase):
                 elif kind == "keep":
                     emit(None, True, target, vertex)
                 elif kind == "check":
-                    if check_ok(label, vertex):
+                    sub = label[2]
+                    query = (id(sub), vertex, so_far)
+                    hit = lookahead.get(query)
+                    if hit is None:
+                        hit = lookahead[query] = self._exists(
+                            sub, vertex, contents, variables, label[3]
+                        )
+                    if hit == label[1]:
                         walk(target, vertex)
 
         walk(state.control, state.current_vertex)
@@ -271,15 +285,50 @@ class RbgInterpreterEngine(RbgEngineBase):
     def _exists(self, sub: Nfa, vertex: int, contents, variables, pure: bool) -> bool:
         """Existence search for a lookahead body; fully rolled back.
 
-        Mutation-free bodies use a global visited set (plain reachability);
-        mutating bodies fall back to the per-path loop guard: a (node,
-        vertex) pair may repeat only after an intervening mutation.
+        Mutation-free bodies are plain reachability over (node, vertex),
+        searched with an explicit stack and one seen set.  Mutating bodies
+        use a recursive walk with a per-path loop guard: a (node, vertex)
+        pair may repeat only after an intervening mutation.
         """
         edges = sub.edges
         neighbors = self.board.neighbors
-        accept = sub.accept
         accepting = sub.accepting
-        visited: set = set()
+        if pure:
+            if sub.start in accepting:
+                return True
+            seen = {(sub.start, vertex)}
+            stack = [(sub.start, vertex)]
+            while stack:
+                node, v = stack.pop()
+                for label, target in edges[node]:
+                    kind = label[0]
+                    if kind == "eps":
+                        nv = v
+                    elif kind == "shift":
+                        nv = neighbors[label[1]][v]
+                        if nv < 0:
+                            continue
+                    elif kind == "on":
+                        if contents[v] not in label[1]:
+                            continue
+                        nv = v
+                    elif kind == "check":
+                        if self._exists(
+                            label[2], v, contents, variables, label[3]
+                        ) != label[1]:
+                            continue
+                        nv = v
+                    else:  # pure bodies hold no writes (and no switches)
+                        continue
+                    nxt = (target, nv)
+                    if nxt not in seen:
+                        if target in accepting:
+                            return True
+                        seen.add(nxt)
+                        stack.append(nxt)
+            return False
+
+        accept = sub.accept
         path_seen: dict = {}
         # Running count of actual state changes; writes that leave the
         # state untouched do not advance it, so rewrite loops converge.
@@ -289,24 +338,16 @@ class RbgInterpreterEngine(RbgEngineBase):
         def walk(node: int, vertex: int) -> bool:
             if node == accept or node in accepting:
                 return True
-            if pure:
-                key = (node, vertex)
-                if key in visited:
-                    return False
-                visited.add(key)
-            else:
-                key = (node, vertex)
-                prev = path_seen.get(key)
-                if prev == mutations[0]:
-                    return False
-                path_seen[key] = mutations[0]
-                # restored below after exploring this subtree
+            key = (node, vertex)
+            prev = path_seen.get(key)
+            if prev == mutations[0]:
+                return False
+            path_seen[key] = mutations[0]
             result = _edges_walk(node, vertex)
-            if not pure:
-                if prev is None:
-                    del path_seen[key]
-                else:
-                    path_seen[key] = prev
+            if prev is None:
+                del path_seen[key]
+            else:
+                path_seen[key] = prev
             return result
 
         def _edges_walk(node: int, vertex: int) -> bool:

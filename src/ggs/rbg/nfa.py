@@ -79,8 +79,10 @@ def build_nfa(pattern: ast.Pattern, context) -> Nfa:
     """Thompson automaton over a macro-free pattern.
 
     ``context`` supplies name resolution: direction_index(name),
-    piece_id(name), player_index(name).
+    piece_id(name), player_index(name).  Equal check bodies (AST nodes
+    are frozen, so equality is structural) share one sub-automaton.
     """
+    subs: dict = {}  # check body -> its Nfa
 
     def resolve(pat: ast.Pattern):
         if isinstance(pat, ast.Name):
@@ -98,13 +100,18 @@ def build_nfa(pattern: ast.Pattern, context) -> Nfa:
         if isinstance(pat, ast.SwitchKeep):
             return ("keep",)
         if isinstance(pat, ast.Check):
-            sub = build_nfa(pat.child, context)
+            sub = subs.get(pat.child)
+            if sub is None:
+                sub = subs[pat.child] = build(pat.child)
             return ("check", pat.positive, sub, not ast.contains_mutation(pat.child))
         raise TypeError(f"cannot build NFA from {pat!r}")
 
-    builder = _Builder(resolve)
-    start, accept = builder.build(pattern)
-    return Nfa(builder.edges, start, accept, frozenset([accept]))
+    def build(pat: ast.Pattern) -> Nfa:
+        builder = _Builder(resolve)
+        start, accept = builder.build(pat)
+        return Nfa(builder.edges, start, accept, frozenset([accept]))
+
+    return build(pattern)
 
 
 def _eps_closure(nfa: Nfa, node: int) -> set[int]:
@@ -122,23 +129,28 @@ def _eps_closure(nfa: Nfa, node: int) -> set[int]:
 def eliminate_epsilon(nfa: Nfa) -> Nfa:
     """Equivalent automaton with no epsilon edges (same node ids).
 
-    Lookahead sub-automata are eliminated recursively.  Acceptance becomes
-    a node set: every node whose closure contained the accept node.
+    Lookahead sub-automata are eliminated recursively, each shared
+    sub-automaton once, so sharing survives.  Acceptance becomes a node
+    set: every node whose closure contained the accept node.
     """
-    closures = [_eps_closure(nfa, n) for n in range(nfa.node_count)]
-    accepting = frozenset(
-        n for n in range(nfa.node_count) if nfa.accept in closures[n]
-    )
-    sub_cache: dict[int, Nfa] = {}
+    done: dict[int, Nfa] = {}  # id(sub) -> its eliminated form
 
     def convert(label):
         if label[0] != "check":
             return label
         sub = label[2]
-        if id(sub) not in sub_cache:
-            sub_cache[id(sub)] = eliminate_epsilon(sub)
-        return ("check", label[1], sub_cache[id(sub)], label[3])
+        if id(sub) not in done:
+            done[id(sub)] = _eliminate(sub, convert)
+        return ("check", label[1], done[id(sub)], label[3])
 
+    return _eliminate(nfa, convert)
+
+
+def _eliminate(nfa: Nfa, convert) -> Nfa:
+    closures = [_eps_closure(nfa, n) for n in range(nfa.node_count)]
+    accepting = frozenset(
+        n for n in range(nfa.node_count) if nfa.accept in closures[n]
+    )
     new_edges: list[list] = []
     for n in range(nfa.node_count):
         out = []

@@ -5,6 +5,8 @@ import dataclasses
 import pytest
 
 from ggs import bench, library
+from ggs.core.model import Move, move_delta
+from ggs.core.rng import Prng
 from ggs.ludeme.compile import compile_ludemic
 from ggs.ludeme.engine import LudemicEngine
 
@@ -90,6 +92,62 @@ def test_cross_validate_probes_each_walk_state_once():
     assert bench.report_ok(report)
     assert len(probes) > 3 * 3 * 10
     assert {n for _, n in probes.values()} == {1}
+
+
+def reference_normalized(engine, state, moves, symbol_map):
+    """Cross-dialect delta text built from ``move_delta``."""
+    board, symbols = engine.board, engine.piece_symbols
+    out = {}
+    for m in moves:
+        delta = move_delta(state, m)
+        cells = sorted(
+            f"{board.encode_coord(v)}={symbol_map.get(symbols[p], symbols[p])}"
+            for v, p in delta.cell_changes
+        )
+        out.setdefault(",".join(cells) + f";mover={delta.next_mover}", m)
+    return out
+
+
+def assert_normalized_like_reference(engine, state, moves, symbol_map):
+    tokens = bench._cell_tokens(engine, symbol_map)
+    got = bench._normalized_deltas(state, moves, tokens)
+    want = reference_normalized(engine, state, moves, symbol_map)
+    assert list(got) == list(want)
+    assert all(got[k] is want[k] for k in want)
+
+
+@pytest.mark.parametrize("mode", bench.MODES)
+@pytest.mark.parametrize("game,plies", [("reversi", 12), ("amazons", 4),
+                                        ("breakthrough", 20)])
+def test_normalized_deltas_match_move_delta_reference(game, plies, mode):
+    engine = library.make_engine(game, mode)
+    symbol_map = library.get_game(game).symbol_map if mode == "ludemic" else {}
+    rng = Prng(3)
+    state = engine.initial_state()
+    for _ in range(plies):
+        moves, payoffs = engine.probe(state)
+        if payoffs is not None:
+            break
+        assert_normalized_like_reference(engine, state, moves, symbol_map)
+        state = engine.apply(state, moves[rng.uniform_index(len(moves))])
+
+
+def test_normalized_deltas_drop_noops_and_keep_last_write():
+    engine = library.make_engine("tictactoe", "compiled")
+    state = engine.initial_state()
+    a1, b1 = engine.board.decode_coord("a1"), engine.board.decode_coord("b1")
+    moves = [
+        Move((("cell", a1, 1), ("cell", a1, 2), ("var", "cross", 9),
+              ("pass", 2))),
+        Move((("cell", b1, 0),)),
+        Move((("cell", a1, 2), ("pass", 2))),
+        Move((("cell", b1, 1), ("cell", b1, 0), ("pass", 2))),
+    ]
+    tokens = bench._cell_tokens(engine, {"o": "disc2"})
+    got = bench._normalized_deltas(state, moves, tokens)
+    assert list(got) == ["a1=disc2;mover=2", ";mover=1", ";mover=2"]
+    assert got["a1=disc2;mover=2"] is moves[0]
+    assert_normalized_like_reference(engine, state, moves, {"o": "disc2"})
 
 
 def corrupted_engines(substitution):

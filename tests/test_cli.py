@@ -21,6 +21,21 @@ def test_usage_error_exits_2():
     assert run_cli("table").returncode == 2
 
 
+def test_bad_game_budget_and_depth_exit_2_on_one_line():
+    for args in (
+        ("bench", "nosuch"),
+        ("xval", "nosuch"),
+        ("perft", "nosuch", "--depth", "1"),
+        ("bench", "tictactoe", "--count", "0"),
+        ("bench", "tictactoe", "--seconds", "0"),
+        ("perft", "tictactoe", "--depth", "-1"),
+    ):
+        proc = run_cli(*args)
+        assert proc.returncode == 2, (args, proc.stderr)
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1, (args, proc.stderr)
+
+
 def test_validate_library_files():
     for entry in library.list_games():
         for path in (entry.rbg_path, entry.lud_path):

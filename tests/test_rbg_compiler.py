@@ -5,6 +5,7 @@ from collections import Counter
 from ggs import library
 from ggs.core.playout import run_playout
 from ggs.rbg.compiler import (
+    CHECK,
     GSHIFT,
     RAYSCAN,
     RbgCompiledEngine,
@@ -61,6 +62,25 @@ def test_rayscan_matches_interpreter_prefix_stops():
     assert len(a) == 2  # one-step and two-step prefixes
 
 
+RAY_CHECK = """
+#players = p(100), q(100)
+#pieces = e, w, b
+#variables =
+#board = rectangle(up,down,left,right, [ROW])
+#rules = ->p ( {? (right {e}) (right {e})* right {w}} [b] -> q )*
+"""
+
+
+def test_rayscan_inside_pure_check():
+    # every stop of the ray starts the rest of the body
+    for row, legal in (("e, e, e, e, w", 1), ("e, e, e, b, w", 0)):
+        game = RbgGame.from_text(RAY_CHECK.replace("ROW", row))
+        compiled = RbgCompiledEngine(game)
+        assert opcode_counts(compiled)[RAYSCAN] >= 1
+        for eng in (RbgInterpreterEngine(game), compiled):
+            assert len(eng.semimoves(eng.initial_state())) == legal, row
+
+
 def test_control_points_are_shared():
     # epsilon elimination keeps node ids, so control payloads align and
     # a move found by one executor can be applied through the other
@@ -76,6 +96,24 @@ def test_control_points_are_shared():
         for m in compiled.legal_moves(state)
     }
     assert by_delta_i == by_delta_c
+
+
+def test_equal_check_bodies_share_one_subprogram():
+    # {! anyLine3(opp)}, {? line3(me)} and {! line3(me)} for each player:
+    # the line3 pair shares one automaton and one lowered entry
+    game = RbgGame.from_text(library.load_description("tictactoe", "rbg"))
+    signs_by_sub = {}
+    for out in game.nfa.edges:
+        for label, _ in out:
+            if label[0] == "check":
+                signs_by_sub.setdefault(id(label[2]), set()).add(label[1])
+    signs_by_entry = {}
+    for instr in RbgCompiledEngine(game).program.instrs:
+        if instr[0] == CHECK:
+            signs_by_entry.setdefault(instr[2], set()).add(instr[1])
+    expected = [[False], [False], [False, True], [False, True]]
+    assert sorted(sorted(v) for v in signs_by_sub.values()) == expected
+    assert sorted(sorted(v) for v in signs_by_entry.values()) == expected
 
 
 def test_playout_equivalence_on_library_games():

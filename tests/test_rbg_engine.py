@@ -9,6 +9,7 @@ unroll bound, so the enumeration is exhaustive.
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggs.core.board import RECT_DIRECTIONS
 from ggs.core.model import IllegalMove, Move
@@ -18,7 +19,7 @@ from ggs.rbg.engine import (
     RbgInterpreterEngine,
     RulesMustOpenWithSwitch,
 )
-from ggs.rbg.compiler import RbgCompiledEngine
+from ggs.rbg.compiler import ACCEPT, CHECK, EMIT, FORK, RbgCompiledEngine
 
 from ggs import library
 
@@ -164,6 +165,11 @@ def oracle_paths(game, pattern, unroll=8):
         elif isinstance(pat, ast.Alt):
             for part in pat.parts:
                 yield from walk(part, vertex, contents, effects, depth)
+        elif isinstance(pat, ast.Check):
+            # passes iff some path of the body exists from here; no trace
+            body = walk(pat.child, vertex, contents, effects, depth)
+            if (next(body, None) is not None) == pat.positive:
+                yield vertex, contents, effects
         elif isinstance(pat, ast.Star):
             seen = {(vertex, contents, effects)}
             frontier = [(vertex, contents, effects)]
@@ -188,7 +194,7 @@ def oracle_paths(game, pattern, unroll=8):
     }
 
 
-def random_micro_pattern(rng, depth=0, allow_mutation=True):
+def random_micro_pattern(rng, depth=0, allow_mutation=True, allow_check=False):
     roll = rng.random()
     if depth >= 3 or roll < 0.45:
         kind = rng.randrange(3 if allow_mutation else 2)
@@ -201,19 +207,25 @@ def random_micro_pattern(rng, depth=0, allow_mutation=True):
     if roll < 0.65:
         return ast.Concat(
             tuple(
-                random_micro_pattern(rng, depth + 1, allow_mutation)
+                random_micro_pattern(rng, depth + 1, allow_mutation, allow_check)
                 for _ in range(2)
             )
         )
     if roll < 0.85:
         return ast.Alt(
             tuple(
-                random_micro_pattern(rng, depth + 1, allow_mutation)
+                random_micro_pattern(rng, depth + 1, allow_mutation, allow_check)
                 for _ in range(2)
             )
         )
+    # checked only when allowed, so the draws stay the same without checks
+    if allow_check and roll < 0.93:
+        return ast.Check(
+            rng.random() < 0.5,
+            random_micro_pattern(rng, depth + 1, allow_mutation, allow_check),
+        )
     # stars stay mutation-free so effect sequences remain bounded
-    return ast.Star(random_micro_pattern(rng, depth + 1, False))
+    return ast.Star(random_micro_pattern(rng, depth + 1, False, allow_check))
 
 
 def render(pat):
@@ -228,6 +240,8 @@ def render(pat):
         return "(" + " ".join(render(p) for p in pat.parts) + ")"
     if isinstance(pat, ast.Alt):
         return "(" + " + ".join(render(p) for p in pat.parts) + ")"
+    if isinstance(pat, ast.Check):
+        return "{" + ("?" if pat.positive else "!") + f" {render(pat.child)}}}"
     return f"({render(pat.child)})*"
 
 
@@ -251,6 +265,116 @@ def test_search_matches_bruteforce_oracle(board_rows):
             eng = engine_cls(game)
             got = {m.effects for m in eng.semimoves(eng.initial_state())}
             assert got == expected, (engine_cls.__name__, text, rows)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_checks_match_bruteforce_oracle(seed):
+    # Two writes and a random branch reach later checks with different
+    # tentative boards; four alternatives check a pure and an impure body
+    # twice each, so equal bodies meet at one configuration.
+    rng = random.Random(seed)
+    rows = [
+        [rng.choice(PIECES) for _ in range(3)] for _ in range(rng.randint(1, 3))
+    ]
+    pure = random_micro_pattern(rng, 1, allow_mutation=False, allow_check=True)
+    impure = ast.Concat(
+        (ast.SetHere(rng.choice(PIECES)), random_micro_pattern(rng, 2))
+    )
+    first, second = rng.sample(PIECES, 2)
+    branch = ast.Alt(
+        (
+            ast.SetHere(first),
+            ast.SetHere(second),
+            random_micro_pattern(rng, 2, allow_check=True),
+        )
+    )
+    checks = ast.Alt(
+        tuple(
+            ast.Concat(
+                (
+                    ast.Check(rng.random() < 0.5, body),
+                    random_micro_pattern(rng, 2, allow_check=True),
+                )
+            )
+            for body in (pure, impure, pure, impure)
+        )
+    )
+    pat = ast.Concat((branch, checks))
+    text = render(pat)
+    game = micro_game(rows, f"->p ( {text} -> q )*")
+    expected = {
+        effects + (("pass", 2),) for effects, _ in oracle_paths(game, pat)
+    }
+    for engine_cls in (RbgInterpreterEngine, RbgCompiledEngine):
+        eng = engine_cls(game)
+        got = {m.effects for m in eng.semimoves(eng.initial_state())}
+        assert got == expected, (engine_cls.__name__, text, rows)
+
+
+def test_long_pure_check_needs_no_deep_recursion():
+    row = ["e"] * 1199 + ["w"]
+    game = micro_game([row], "->p ( {? right* {w}} [b] -> q )*")
+    for engine_cls in (RbgInterpreterEngine, RbgCompiledEngine):
+        eng = engine_cls(game)
+        (move,) = eng.semimoves(eng.initial_state())
+        assert move.effects == (("cell", 0, 2), ("pass", 2))
+
+
+def subprogram_shape(instrs, entry):
+    """Instructions reachable from entry, renumbered in discovery order:
+    equal for structurally equal lowered bodies."""
+    index = {entry: 0}
+    order = [entry]
+
+    def ref(i):
+        if i not in index:
+            index[i] = len(order)
+            order.append(i)
+        return index[i]
+
+    shape = []
+    for i in order:  # grows while it is walked
+        instr = instrs[i]
+        op = instr[0]
+        if op == FORK:
+            shape.append((op, tuple(ref(t) for t in instr[1])))
+        elif op == CHECK:
+            shape.append((op, instr[1], ref(instr[2]), instr[3], ref(instr[4])))
+        elif op in (EMIT, ACCEPT):
+            shape.append(instr)
+        else:
+            shape.append(instr[:-1] + (ref(instr[-1]),))
+    return tuple(shape)
+
+
+@pytest.mark.parametrize("engine_cls", [RbgInterpreterEngine, RbgCompiledEngine])
+def test_semimoves_repeats_no_lookahead_query(engine_cls):
+    # Tic-Tac-Toe asks {? line3(me)} and {! line3(me)} after each placement
+    game = RbgGame.from_text(library.load_description("tictactoe", "rbg"))
+    eng = engine_cls(game)
+    if engine_cls is RbgCompiledEngine:
+        def shape(entry):
+            return subprogram_shape(eng.program.instrs, entry)
+    else:
+        def shape(sub):
+            return sub  # Nfa equality is structural
+    state = eng.initial_state()
+    for _ in range(2):
+        state = eng.apply(state, eng.legal_moves(state)[0])
+    queries = []
+    exists = eng._exists
+
+    def spy(sub, vertex, contents, variables, pure):
+        query = (shape(sub), vertex, tuple(contents), sorted(variables.items()))
+        assert query not in queries
+        queries.append(query)
+        return exists(sub, vertex, contents, variables, pure)
+
+    eng._exists = spy
+    moves = eng.semimoves(state)
+    # {! anyLine3(opp)} once, then one line3 query per placement
+    assert len(moves) == 7 and len(queries) == 1 + 7
 
 
 # -- library game behavior ----------------------------------------------
