@@ -19,24 +19,9 @@ from .rbg.compiler import RbgCompiledEngine, dump_ir
 from .rbg.engine import RbgGame, RbgInterpreterEngine
 
 
-def _is_path(arg: str) -> bool:
-    """Path wins over a game name when the argument looks like a file."""
-    return "/" in arg or "\\" in arg or "." in arg
-
-
-def _read_source(arg: str, dialect: str) -> str:
-    if _is_path(arg):
-        return Path(arg).read_text()
-    return library.load_description(arg, dialect)
-
-
-def _engine_for(arg: str, dialect: str, mode: str):
-    if dialect == "ludemic":
-        return LudemicEngine(compile_ludemic(_read_source(arg, "ludemic")))
-    game = RbgGame.from_text(_read_source(arg, "rbg"))
-    if mode == "compiled":
-        return RbgCompiledEngine(game)
-    return RbgInterpreterEngine(game)
+def _engine_mode(args) -> str:
+    """The ``library.make_engine`` mode named by --dialect and --mode."""
+    return "ludemic" if args.dialect == "ludemic" else args.mode
 
 
 def _fail(message: str) -> int:
@@ -52,7 +37,7 @@ def _usage_problem(args) -> str | None:
     """Why parsed arguments cannot run (a usage error), or None."""
     game = getattr(args, "game", None)
     if game is not None and (
-        args.subcommand in _LIBRARY_ONLY or not _is_path(game)
+        args.subcommand in _LIBRARY_ONLY or not library.is_path(game)
     ):
         try:
             library.get_game(game)
@@ -87,7 +72,7 @@ def cmd_validate(args) -> int:
 
 def cmd_moves(args) -> int:
     try:
-        engine = _engine_for(args.game, args.dialect, args.mode)
+        engine = library.make_engine(args.game, _engine_mode(args))
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     state = engine.initial_state()
@@ -109,7 +94,7 @@ def cmd_moves(args) -> int:
 
 def cmd_perft(args) -> int:
     try:
-        engine = _engine_for(args.game, args.dialect, args.mode)
+        engine = library.make_engine(args.game, _engine_mode(args))
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     print(bench.perft(engine, args.depth))
@@ -127,7 +112,7 @@ def cmd_bench(args) -> int:
 
 def cmd_tokens(args) -> int:
     try:
-        text = _read_source(args.game, args.dialect)
+        text = library.load_description(args.game, args.dialect)
         print(bench.count_tokens(text, args.dialect))
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
@@ -163,8 +148,8 @@ def cmd_table(args) -> int:
 
 def cmd_dump_ir(args) -> int:
     try:
-        game = RbgGame.from_text(_read_source(args.game, "rbg"))
-        print(dump_ir(RbgCompiledEngine(game).program), end="")
+        program = library.make_engine(args.game, "compiled").program
+        print(dump_ir(program), end="")
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     return 0

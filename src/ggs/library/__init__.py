@@ -120,18 +120,25 @@ def get_game(name: str) -> GameEntry:
         raise UnknownGame(name) from None
 
 
+def is_path(arg: str) -> bool:
+    """Path wins over a game name when the argument looks like a file."""
+    return "/" in arg or "\\" in arg or "." in arg
+
+
 def load_description(name: str, dialect: str) -> str:
-    """Byte-exact file contents for one (game, dialect) pair."""
+    """Byte-exact file contents for one (game, dialect) pair; ``name`` is
+    a library game or, when ``is_path`` says so, a description file."""
+    if dialect not in ("rbg", "ludemic"):
+        raise ValueError(f"unknown dialect: {dialect}")
+    if is_path(name):
+        return Path(name).read_text()
     entry = get_game(name)
-    if dialect == "rbg":
-        return entry.rbg_path.read_text()
-    if dialect == "ludemic":
-        return entry.lud_path.read_text()
-    raise ValueError(f"unknown dialect: {dialect}")
+    return (entry.rbg_path if dialect == "rbg" else entry.lud_path).read_text()
 
 
 def make_engine(name: str, mode: str):
-    """Build an engine: mode is interpreter, compiled, or ludemic."""
+    """Build an engine for a library game or a description file (see
+    ``load_description``): mode is interpreter, compiled, or ludemic."""
     from ..ludeme.compile import compile_ludemic
     from ..ludeme.engine import LudemicEngine
     from ..rbg.compiler import RbgCompiledEngine

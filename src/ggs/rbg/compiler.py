@@ -6,7 +6,9 @@ fusion into GuardedShift, and collapsing guarded G(G)* ray shapes into a
 single RayScan that emits every prefix stop in one pass over the
 precomputed shift table.  Each distinct lookahead sub-automaton is
 lowered once; every CHECK on it points at the same entry.  The executor
-treats lookahead as the interpreter does (see ``engine``).
+searches every lookahead body, with or without writes, as the interpreter
+does: one explicit-stack search over (instruction, vertex, net tentative
+writes), using the write-set helpers of ``engine``.
 """
 
 from __future__ import annotations
@@ -14,7 +16,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.model import GameState, Move
-from .engine import RbgEngineBase, RbgGame
+from .engine import (
+    LOOKAHEAD_WRITE_BUDGET,
+    RbgEngineBase,
+    RbgGame,
+    extend_writes,
+    switch_writes,
+)
 from .nfa import Nfa, eliminate_epsilon
 
 # Instruction opcodes.  Every instruction is a tuple whose first element
@@ -107,7 +115,6 @@ class _Lowerer:
         self._collapse_single_forks()
         self._fuse_guarded_shifts()
         self._build_rayscans()
-        self._collapse_single_forks()
 
     def _resolve(self, idx: int) -> int:
         # Follow single-branch forks to their only target.
@@ -148,10 +155,6 @@ class _Lowerer:
             nxt = self.instrs[instr[2]]
             if nxt[0] == ON:
                 self.instrs[i] = (GSHIFT, instr[1], nxt[1], nxt[2])
-            elif nxt[0] == FORK and len(nxt[1]) == 1:
-                only = self.instrs[nxt[1][0]]
-                if only[0] == ON:
-                    self.instrs[i] = (GSHIFT, instr[1], only[1], only[2])
 
     def _build_rayscans(self):
         for i, instr in enumerate(self.instrs):
@@ -328,18 +331,25 @@ class RbgCompiledEngine(RbgEngineBase):
         """Existence search for a lookahead body; see the interpreter's."""
         instrs = self.program.instrs
         shift = self.program.shift_table
-        if pure:
-            seen = {(entry, vertex)}
-            stack = [(entry, vertex)]
+        start = (entry, vertex, ())
+        seen = {start}
+        stack = [start]
+        applied = ()
+        originals: dict = {}
+        budget = LOOKAHEAD_WRITE_BUDGET
+        try:
             while stack:
-                idx, v = stack.pop()
+                idx, v, writes = stack.pop()
                 instr = instrs[idx]
                 op = instr[0]
                 if op == ACCEPT:
                     return True
+                if writes is not applied:
+                    switch_writes(contents, variables, applied, writes, originals)
+                    applied = writes
                 if op == FORK:
                     for t in instr[1]:
-                        nxt = (t, v)
+                        nxt = (t, v, writes)
                         if nxt not in seen:
                             seen.add(nxt)
                             stack.append(nxt)
@@ -348,13 +358,13 @@ class RbgCompiledEngine(RbgEngineBase):
                     nv = shift[instr[1]][v]
                     if nv < 0 or contents[nv] not in instr[2]:
                         continue
-                    nxt = (instr[3], nv)
+                    nxt = (instr[3], nv, writes)
                 elif op == RAYSCAN:
                     table = shift[instr[1]]
                     ps, cont = instr[2], instr[3]
                     nv = table[v]
                     while nv >= 0 and contents[nv] in ps:
-                        nxt = (cont, nv)
+                        nxt = (cont, nv, writes)
                         if nxt not in seen:
                             seen.add(nxt)
                             stack.append(nxt)
@@ -364,95 +374,31 @@ class RbgCompiledEngine(RbgEngineBase):
                     nv = shift[instr[1]][v]
                     if nv < 0:
                         continue
-                    nxt = (instr[2], nv)
+                    nxt = (instr[2], nv, writes)
                 elif op == ON:
                     if contents[v] not in instr[1]:
                         continue
-                    nxt = (instr[2], v)
+                    nxt = (instr[2], v, writes)
                 elif op == CHECK:
                     if self._exists(
                         instr[2], v, contents, variables, instr[3]
                     ) != instr[1]:
                         continue
-                    nxt = (instr[4], v)
-                else:  # pure bodies hold no writes
-                    continue
+                    nxt = (instr[4], v, writes)
+                else:  # SET or ASSIGN; EMIT cannot occur inside checks
+                    budget -= 1
+                    if budget < 0:
+                        raise RuntimeError("runaway mutation in lookahead")
+                    nxt = (instr[2], v, extend_writes(
+                        writes,
+                        ((("cell", v), instr[1]),) if op == SET
+                        else [(("var", n), x) for n, x in instr[1]],
+                        contents, variables, originals,
+                    ))
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
             return False
-
-        path_seen: dict = {}
-        # Counts actual state changes only; see the interpreter's note.
-        mutations = [0]
-        budget = 100_000
-
-        def walk(idx: int, vertex: int) -> bool:
-            instr = instrs[idx]
-            op = instr[0]
-            if op == ACCEPT:
-                return True
-            key = (idx, vertex)
-            prev = path_seen.get(key)
-            if prev == mutations[0]:
-                return False
-            path_seen[key] = mutations[0]
-            result = step(instr, op, vertex)
-            if prev is None:
-                del path_seen[key]
-            else:
-                path_seen[key] = prev
-            return result
-
-        def step(instr, op, vertex: int) -> bool:
-            if op == GSHIFT:
-                nv = shift[instr[1]][vertex]
-                return nv >= 0 and contents[nv] in instr[2] and walk(instr[3], nv)
-            if op == RAYSCAN:
-                table = shift[instr[1]]
-                ps, cont = instr[2], instr[3]
-                nv = table[vertex]
-                while nv >= 0 and contents[nv] in ps:
-                    if walk(cont, nv):
-                        return True
-                    nv = table[nv]
-                return False
-            if op == FORK:
-                return any(walk(t, vertex) for t in instr[1])
-            if op == SHIFT:
-                nv = shift[instr[1]][vertex]
-                return nv >= 0 and walk(instr[2], nv)
-            if op == ON:
-                return contents[vertex] in instr[1] and walk(instr[2], vertex)
-            if op == SET:
-                old = contents[vertex]
-                if old != instr[1]:
-                    contents[vertex] = instr[1]
-                    mutations[0] += 1
-                    if mutations[0] > budget:
-                        raise RuntimeError("runaway mutation in lookahead")
-                ok = walk(instr[2], vertex)
-                contents[vertex] = old
-                return ok
-            if op == ASSIGN:
-                olds = [(n, variables[n]) for n, _ in instr[1]]
-                changed = any(variables[n] != v for n, v in instr[1])
-                for n, v in instr[1]:
-                    variables[n] = v
-                if changed:
-                    mutations[0] += 1
-                    if mutations[0] > budget:
-                        raise RuntimeError("runaway mutation in lookahead")
-                ok = walk(instr[2], vertex)
-                for n, v in olds:
-                    variables[n] = v
-                return ok
-            if op == CHECK:
-                return (
-                    self._exists(instr[2], vertex, contents, variables, instr[3])
-                    == instr[1]
-                    and walk(instr[4], vertex)
-                )
-            return False
-
-        return walk(entry, vertex)
+        finally:
+            if applied:
+                switch_writes(contents, variables, applied, (), originals)

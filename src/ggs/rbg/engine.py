@@ -9,9 +9,10 @@ guards against pure loops and merges duplicate action paths.
 Lookahead checks run ``_exists`` on the check body's sub-automaton, which
 equal bodies share.  Within one ``semimoves`` call its answers are
 memoized on (sub-automaton, vertex, effects-so-far), so ``{? b}`` and
-``{! b}`` at one configuration cost one search.  Mutation-free bodies are
-searched with an explicit stack; mutating ones by a recursive walk with a
-per-path loop guard and a mutation budget.
+``{! b}`` at one configuration cost one search.  Every body, with or
+without writes, is searched with an explicit stack over (node, vertex,
+net tentative writes), so a body's loops need no separate guard; a
+budget on write expansions stops runaway bodies.
 """
 
 from __future__ import annotations
@@ -158,6 +159,40 @@ def _leading_switch(nfa: Nfa):
     raise RulesMustOpenWithSwitch("rules must open with a player switch")
 
 
+# SET/ASSIGN expansions one lookahead search may make before it is deemed
+# runaway; searches of mutation-free bodies never spend any.
+LOOKAHEAD_WRITE_BUDGET = 100_000
+
+
+def extend_writes(writes: tuple, changes, contents, variables, originals: dict):
+    """The write set ``writes`` after ``changes``, (slot, value) pairs.
+
+    A write set is a sorted tuple of ((kind, key), value), kind "cell" or
+    "var": later writes win and writes back to the original value drop
+    out, so equal tentative boards have equal write sets.  ``originals``
+    maps every slot a write set has touched to its value before the
+    search; the board must hold ``writes`` when this is called.
+    """
+    for slot, value in changes:
+        if slot not in originals:
+            kind, key = slot
+            originals[slot] = contents[key] if kind == "cell" else variables[key]
+        kept = [write for write in writes if write[0] != slot]
+        if originals[slot] != value:
+            kept.append((slot, value))
+            kept.sort()
+        writes = tuple(kept)
+    return writes
+
+
+def switch_writes(contents, variables, applied: tuple, writes: tuple, originals):
+    """Change the board from holding write set ``applied`` to ``writes``."""
+    for (kind, key), _ in applied:
+        (contents if kind == "cell" else variables)[key] = originals[kind, key]
+    for (kind, key), value in writes:
+        (contents if kind == "cell" else variables)[key] = value
+
+
 class RbgEngineBase(Engine):
     """Shared apply/terminal logic for the two rbg executors."""
 
@@ -285,23 +320,31 @@ class RbgInterpreterEngine(RbgEngineBase):
     def _exists(self, sub: Nfa, vertex: int, contents, variables, pure: bool) -> bool:
         """Existence search for a lookahead body; fully rolled back.
 
-        Mutation-free bodies are plain reachability over (node, vertex),
-        searched with an explicit stack and one seen set.  Mutating bodies
-        use a recursive walk with a per-path loop guard: a (node, vertex)
-        pair may repeat only after an intervening mutation.
+        Explicit-stack reachability over (node, vertex, writes) with one
+        seen set, where ``writes`` is the body's net tentative change (see
+        ``extend_writes``).  Mutation-free bodies always carry ``()``, so
+        ``pure`` needs no branch of its own.
         """
         edges = sub.edges
         neighbors = self.board.neighbors
         accepting = sub.accepting
-        if pure:
-            if sub.start in accepting:
-                return True
-            seen = {(sub.start, vertex)}
-            stack = [(sub.start, vertex)]
+        if sub.start in accepting:
+            return True
+        start = (sub.start, vertex, ())
+        seen = {start}
+        stack = [start]
+        applied = ()
+        originals: dict = {}
+        budget = LOOKAHEAD_WRITE_BUDGET
+        try:
             while stack:
-                node, v = stack.pop()
+                node, v, writes = stack.pop()
+                if writes is not applied:
+                    switch_writes(contents, variables, applied, writes, originals)
+                    applied = writes
                 for label, target in edges[node]:
                     kind = label[0]
+                    nw = writes
                     if kind == "eps":
                         nv = v
                     elif kind == "shift":
@@ -318,84 +361,26 @@ class RbgInterpreterEngine(RbgEngineBase):
                         ) != label[1]:
                             continue
                         nv = v
-                    else:  # pure bodies hold no writes (and no switches)
+                    elif kind == "set" or kind == "assign":
+                        budget -= 1
+                        if budget < 0:
+                            raise RuntimeError("runaway mutation in lookahead")
+                        nv = v
+                        nw = extend_writes(
+                            writes,
+                            ((("cell", v), label[1]),) if kind == "set"
+                            else [(("var", n), x) for n, x in label[1]],
+                            contents, variables, originals,
+                        )
+                    else:  # switch edges cannot occur inside checks (validated)
                         continue
-                    nxt = (target, nv)
+                    nxt = (target, nv, nw)
                     if nxt not in seen:
                         if target in accepting:
                             return True
                         seen.add(nxt)
                         stack.append(nxt)
             return False
-
-        accept = sub.accept
-        path_seen: dict = {}
-        # Running count of actual state changes; writes that leave the
-        # state untouched do not advance it, so rewrite loops converge.
-        mutations = [0]
-        budget = 100_000
-
-        def walk(node: int, vertex: int) -> bool:
-            if node == accept or node in accepting:
-                return True
-            key = (node, vertex)
-            prev = path_seen.get(key)
-            if prev == mutations[0]:
-                return False
-            path_seen[key] = mutations[0]
-            result = _edges_walk(node, vertex)
-            if prev is None:
-                del path_seen[key]
-            else:
-                path_seen[key] = prev
-            return result
-
-        def _edges_walk(node: int, vertex: int) -> bool:
-            for label, target in edges[node]:
-                kind = label[0]
-                if kind == "eps":
-                    if walk(target, vertex):
-                        return True
-                elif kind == "shift":
-                    nv = neighbors[label[1]][vertex]
-                    if nv >= 0 and walk(target, nv):
-                        return True
-                elif kind == "on":
-                    if contents[vertex] in label[1] and walk(target, vertex):
-                        return True
-                elif kind == "set":
-                    old = contents[vertex]
-                    if old != label[1]:
-                        contents[vertex] = label[1]
-                        mutations[0] += 1
-                        if mutations[0] > budget:
-                            raise RuntimeError("runaway mutation in lookahead")
-                    ok = walk(target, vertex)
-                    contents[vertex] = old
-                    if ok:
-                        return True
-                elif kind == "assign":
-                    olds = [(n, variables[n]) for n, _ in label[1]]
-                    changed = any(variables[n] != v for n, v in label[1])
-                    for n, v in label[1]:
-                        variables[n] = v
-                    if changed:
-                        mutations[0] += 1
-                        if mutations[0] > budget:
-                            raise RuntimeError("runaway mutation in lookahead")
-                    ok = walk(target, vertex)
-                    for n, v in olds:
-                        variables[n] = v
-                    if ok:
-                        return True
-                elif kind == "check":
-                    if (
-                        self._exists(label[2], vertex, contents, variables, label[3])
-                        == label[1]
-                        and walk(target, vertex)
-                    ):
-                        return True
-                # switch edges cannot occur inside checks (validated)
-            return False
-
-        return walk(sub.start, vertex)
+        finally:
+            if applied:
+                switch_writes(contents, variables, applied, (), originals)

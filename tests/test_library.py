@@ -53,6 +53,21 @@ def test_make_engine_modes():
         library.make_engine("tictactoe", "quantum")
 
 
+def test_make_engine_reads_description_files():
+    entry = library.get_game("tictactoe")
+    for mode, path in (
+        ("interpreter", entry.rbg_path),
+        ("compiled", entry.rbg_path),
+        ("ludemic", entry.lud_path),
+    ):
+        assert library.is_path(str(path))
+        eng = library.make_engine(str(path), mode)
+        assert len(eng.legal_moves(eng.initial_state())) == 9
+    assert not library.is_path("tictactoe")
+    with pytest.raises(FileNotFoundError):
+        library.make_engine("no/such/game.rbg", "compiled")
+
+
 CHEAP_GOLDS = {
     "Amazons": 1,
     "Breakthrough": 2,

@@ -1,6 +1,9 @@
 """Lowering passes and the compiled executor."""
 
+import hashlib
 from collections import Counter
+
+import pytest
 
 from ggs import library
 from ggs.core.playout import run_playout
@@ -49,6 +52,35 @@ def test_dump_ir_is_byte_stable():
     first, second = build(), build()
     assert first == second
     assert first.splitlines()[0].lstrip().startswith("0:")
+
+
+# sha256 of ``dump_ir`` followed by one "<nfa node> <entry index>" line per
+# entry-map item, sorted by node; computed before the lowering last changed.
+LOWERED_GOLDEN = {
+    "Amazons":
+        "54bf9f2802f7fd4928f95aff2932b823a980c73b0274f8ecf53aaabb82a59d74",
+    "Breakthrough":
+        "a5f4a009bde607d42413a343aa4ee3f83bebb49b8c3bce5d104be3922ac99448",
+    "Connect-4":
+        "2fa73801ecf1f6fd4882f363a2bb9349c088249c71064ad4217ef125aec94349",
+    "Gomoku":
+        "9c936af11da2eaaf265bd50836521cc689017808664cdd7a67d681bdaecb447c",
+    "Hex":
+        "995795efb01c3c709f5426cacb3c9f50af067a464b1130a248c9faae92801f1a",
+    "Reversi":
+        "307e919c3309b424e72cf74842a56c5abef3714fe83205b9ce967560e0046b39",
+    "Tic-Tac-Toe":
+        "1fb109deaf6a860f5bb40f60c97dc64e82f9c6538f497f201782f2d083cfbe41",
+}
+
+
+@pytest.mark.parametrize("game", sorted(LOWERED_GOLDEN))
+def test_lowered_program_is_pinned(game):
+    program = library.make_engine(game, "compiled").program
+    text = dump_ir(program) + "".join(
+        f"{node} {idx}\n" for node, idx in sorted(program.entry.items())
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == LOWERED_GOLDEN[game]
 
 
 def test_rayscan_matches_interpreter_prefix_stops():

@@ -321,6 +321,67 @@ def test_long_pure_check_needs_no_deep_recursion():
         assert move.effects == (("cell", 0, 2), ("pass", 2))
 
 
+ENGINES = (RbgInterpreterEngine, RbgCompiledEngine)
+
+
+def spy_restoration(eng):
+    """Wrap ``eng._exists`` (nested checks included); the returned list
+    gets one entry per call: whether the board and variables came back
+    unchanged, also when the call raised."""
+    exists = eng._exists
+    restored = []
+
+    def spy(sub, vertex, contents, variables, pure):
+        before = (list(contents), dict(variables))
+        try:
+            return exists(sub, vertex, contents, variables, pure)
+        finally:
+            restored.append((list(contents), dict(variables)) == before)
+
+    eng._exists = spy
+    return restored
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize(
+    "rows, check, then",
+    [
+        # write loops that come back to the original board
+        ([["e"]], "{! ([b] [e])* {w}}", "[w]"),
+        ([["e", "w"]], "{? ([b] [e])* right {w}}", "[b]"),
+        # a long ray after a write
+        ([["e"] * 1199 + ["w"]], "{? [b] right* {w}}", "[b]"),
+        # a nested check sees the tentative write
+        ([["e"]], "{? [b] {? {b}}}", "[w]"),
+        # variable writes, one back to the original value, and a nested
+        # check that reads a write one cell away
+        ([["e", "w"]], "{? [$ p=7] [b] right {w} {? left {b}} [$ p=0]}", "[b]"),
+    ],
+)
+def test_check_bodies_that_write(engine_cls, rows, check, then):
+    eng = engine_cls(micro_game(rows, f"->p ( {check} {then} -> q )*"))
+    restored = spy_restoration(eng)
+    (move,) = eng.semimoves(eng.initial_state())
+    piece = {"[w]": 1, "[b]": 2}[then]
+    assert move.effects == (("cell", 0, piece), ("pass", 2))
+    assert restored and all(restored)
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_runaway_check_body_raises_and_restores(engine_cls):
+    # 2**24 reachable boards and no accepting path: the write budget
+    # ends the search instead of letting it run for hours
+    game = micro_game(
+        [["e"] * 24],
+        "->p ( {? ((right [b]) + (right [w]))* [w] {b}} [b] -> q )*",
+    )
+    eng = engine_cls(game)
+    restored = spy_restoration(eng)
+    with pytest.raises(RuntimeError, match="runaway mutation in lookahead"):
+        eng.semimoves(eng.initial_state())
+    assert restored == [True]
+
+
 def subprogram_shape(instrs, entry):
     """Instructions reachable from entry, renumbered in discovery order:
     equal for structurally equal lowered bodies."""
