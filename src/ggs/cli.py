@@ -15,8 +15,13 @@ from pathlib import Path
 from . import bench, library
 from .ludeme.compile import compile_ludemic
 from .ludeme.engine import LudemicEngine
-from .rbg.compiler import RbgCompiledEngine, dump_ir
-from .rbg.engine import RbgGame, RbgInterpreterEngine
+from .rbg.compiler import dump_ir
+from .rbg.engine import (
+    RbgCompiledEngine,
+    RbgGame,
+    RbgInterpreterEngine,
+    RunawaySearch,
+)
 
 
 def _engine_mode(args) -> str:
@@ -76,15 +81,18 @@ def cmd_moves(args) -> int:
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
     state = engine.initial_state()
-    for wanted in (args.state or "").split():
+    try:
+        for wanted in (args.state or "").split():
+            moves, payoffs = engine.probe(state)
+            chosen = next(
+                (m for m in moves if engine.delta_text(state, m) == wanted), None
+            )
+            if chosen is None:
+                return _fail(f"no legal move with delta {wanted!r}")
+            state = engine.apply(state, chosen)
         moves, payoffs = engine.probe(state)
-        chosen = next(
-            (m for m in moves if engine.delta_text(state, m) == wanted), None
-        )
-        if chosen is None:
-            return _fail(f"no legal move with delta {wanted!r}")
-        state = engine.apply(state, chosen)
-    moves, payoffs = engine.probe(state)
+    except RunawaySearch as exc:
+        return _fail(f"{type(exc).__name__}: {exc}")
     for m in bench.dedup_moves(engine, state, moves):
         print(engine.delta_text(state, m))
     if payoffs is not None:
@@ -97,7 +105,10 @@ def cmd_perft(args) -> int:
         engine = library.make_engine(args.game, _engine_mode(args))
     except Exception as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-    print(bench.perft(engine, args.depth))
+    try:
+        print(bench.perft(engine, args.depth))
+    except RunawaySearch as exc:
+        return _fail(f"{type(exc).__name__}: {exc}")
     return 0
 
 

@@ -141,8 +141,7 @@ def make_engine(name: str, mode: str):
     ``load_description``): mode is interpreter, compiled, or ludemic."""
     from ..ludeme.compile import compile_ludemic
     from ..ludeme.engine import LudemicEngine
-    from ..rbg.compiler import RbgCompiledEngine
-    from ..rbg.engine import RbgGame, RbgInterpreterEngine
+    from ..rbg.engine import RbgCompiledEngine, RbgGame, RbgInterpreterEngine
 
     if mode == "ludemic":
         return LudemicEngine(compile_ludemic(load_description(name, "ludemic")))

@@ -15,15 +15,32 @@ class UnknownLudeme(ValueError):
         self.name = name
 
 
-class ArityError(ValueError):
+class LudemeError(ValueError):
+    """A description error, placed at the offending node when given."""
+
+    def __init__(self, message: str, node=None):
+        if node is not None:
+            message += f" at {node.line}:{node.col}"
+        super().__init__(message)
+
+
+class ArityError(LudemeError):
     pass
 
 
-class UnknownPiece(ValueError):
+class UnknownPiece(LudemeError):
     pass
 
 
-class OverlappingPlacement(ValueError):
+class OverlappingPlacement(LudemeError):
+    pass
+
+
+class PlacementOutOfRange(LudemeError):
+    pass
+
+
+class UnsupportedPlayerCount(LudemeError):
     pass
 
 
@@ -60,14 +77,22 @@ _PLAYER_SELECTORS = {"mover", "next", "prev"}
 
 def _expect_list(node, what: str) -> SList:
     if not isinstance(node, SList):
-        raise ArityError(f"expected a list for {what}")
+        raise ArityError(f"expected a list for {what}", node)
     return node
 
 
 def _atom_text(node, what: str) -> str:
     if not isinstance(node, Atom):
-        raise ArityError(f"expected an atom for {what}")
+        raise ArityError(f"expected an atom for {what}", node)
     return node.text
+
+
+def _int(node, what: str) -> int:
+    text = _atom_text(node, what)
+    try:
+        return int(text)
+    except ValueError:
+        raise ArityError(f"expected an integer {what}, got {text!r}", node) from None
 
 
 def _split_instance(text: str) -> tuple[str, int]:
@@ -103,9 +128,10 @@ def _compile_condition(node) -> tuple:
 
 
 def _selector(node) -> str:
-    sel = _expect_list(node, "player selector").head
+    node = _expect_list(node, "player selector")
+    sel = node.head
     if sel not in _PLAYER_SELECTORS:
-        raise UnknownLudeme(sel)
+        raise UnknownLudeme(sel, node.line, node.col)
     return sel
 
 
@@ -191,18 +217,19 @@ def _compile_end_condition(node) -> tuple:
     node = _expect_list(node, "end condition")
     head = node.head
     args = node.children[1:]
-    if head == "stalemated":
-        if _selector(args[0]) != "mover":
-            raise ArityError("(stalemated (mover)) is the supported form")
+    if head in ("stalemated", "connected", "reached"):
+        if len(args) != 1:
+            raise ArityError(f"({head} <player>) takes one player selector", node)
+        who = _selector(args[0])
+        if head != "stalemated":
+            return (head, who)
+        if who != "mover":
+            raise ArityError("(stalemated (mover)) is the supported form", node)
         return ("stalemated",)
     if head == "line":
         if not args:
-            raise ArityError("(line <n>) takes a length")
-        return ("line", int(_atom_text(args[0], "line length")))
-    if head == "connected":
-        return ("connected", _selector(args[0]))
-    if head == "reached":
-        return ("reached", _selector(args[0]))
+            raise ArityError("(line <n>) takes a length", node)
+        return ("line", _int(args[0], "line length"))
     if head == "boardFull":
         return ("boardFull",)
     if head == "noMovesAll":
@@ -259,14 +286,23 @@ def compile_ludemic(source) -> CompiledLudemicGame:
         head = section.head
         args = section.children[1:]
         if head == "mode":
-            player_count = int(_atom_text(args[0], "player count"))
+            if len(args) != 1:
+                raise ArityError("(mode <n>) takes a player count", section)
+            player_count = _int(args[0], "player count")
+            if player_count != 2:
+                # relative directions, connection sides and the line end
+                # rule all assume two players
+                raise UnsupportedPlayerCount(
+                    f"only two-player games are supported, not {player_count}",
+                    args[0],
+                )
         elif head == "equipment":
             if len(args) != 1 or not isinstance(args[0], SSet):
                 raise ArityError("(equipment { ... })")
             for item in args[0].children:
                 item = _expect_list(item, "equipment item")
                 if item.head in _BOARD_GENERATORS:
-                    nums = [int(_atom_text(a, "size")) for a in item.children[1:]]
+                    nums = [_int(a, "size") for a in item.children[1:]]
                     if item.head == "chessBoard":
                         board = build_rectangle_board(nums[0], nums[0])
                         board_kind = "rect"
@@ -368,12 +404,16 @@ def compile_ludemic(source) -> CompiledLudemicGame:
             ids_node = pl.children[2]
             if not isinstance(ids_node, SSet):
                 raise ArityError("placement vertex ids must be a set")
-            vertices = tuple(
-                int(_atom_text(v, "vertex id")) for v in ids_node.children
-            )
-            for v in vertices:
+            vertices = tuple(_int(v, "vertex id") for v in ids_node.children)
+            for v, v_node in zip(vertices, ids_node.children):
+                if not 0 <= v < board.vertex_count:
+                    raise PlacementOutOfRange(
+                        f"vertex {v} is not on the board "
+                        f"(0..{board.vertex_count - 1})",
+                        v_node,
+                    )
                 if v in seen_vertices:
-                    raise OverlappingPlacement(f"vertex {v} placed twice")
+                    raise OverlappingPlacement(f"vertex {v} placed twice", v_node)
                 seen_vertices.add(v)
             placements.append((instance_ids[key], vertices))
 

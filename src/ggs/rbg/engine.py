@@ -1,18 +1,22 @@
-"""Game compilation and the interpreting executor for the regex dialect.
+"""Game compilation and the executor for the regex dialect.
 
-Legal-move search is a depth-first walk over automaton configurations
-(node, walker vertex, tentative board/variables).  A semi-move is emitted
-at every switch edge; move identity is the emitted effect sequence.  The
-search memoizes (node, vertex, effects-so-far) configurations, which both
-guards against pure loops and merges duplicate action paths.
+Both executors run one instruction walker over a program built by
+``compiler.lower``; they differ only in the lowering passes (see
+``compiler``).  Legal-move search is a depth-first walk over
+configurations (instruction, walker vertex, effects so far), which both
+guards against pure loops and merges duplicate action paths.  A
+semi-move is emitted at every EMIT (a switch edge); move identity is the
+emitted effect sequence, and its control point is the automaton node
+after the switch.  A cap on the effect sequence stops runaway rules.
 
 Lookahead checks run ``_exists`` on the check body's sub-automaton, which
-equal bodies share.  Within one ``semimoves`` call its answers are
-memoized on (sub-automaton, vertex, effects-so-far), so ``{? b}`` and
-``{! b}`` at one configuration cost one search.  Every body, with or
-without writes, is searched with an explicit stack over (node, vertex,
-net tentative writes), so a body's loops need no separate guard; a
-budget on write expansions stops runaway bodies.
+equal bodies share, starting from its lowered entry.  Within one
+``semimoves`` call its answers are memoized on (sub entry, vertex,
+effects so far), so ``{? b}`` and ``{! b}`` at one configuration cost one
+search.  Every body, with or without writes, is searched with an
+explicit stack over (instruction, vertex, net tentative writes), so a
+body's loops need no separate guard; a budget on write expansions stops
+runaway bodies.
 """
 
 from __future__ import annotations
@@ -34,7 +38,19 @@ from ..core.model import (
     apply_effects,
 )
 from ..core.playout import Engine
-from . import ast
+from . import ast, compiler
+from .compiler import (
+    ACCEPT,
+    ASSIGN,
+    CHECK,
+    EMIT,
+    FORK,
+    GSHIFT,
+    ON,
+    RAYSCAN,
+    SET,
+    SHIFT,
+)
 from .expand import RbgValidationError, expand_macros, validate
 from .nfa import Nfa, build_nfa
 from .parser import parse_rbg
@@ -193,22 +209,36 @@ def switch_writes(contents, variables, applied: tuple, writes: tuple, originals)
         (contents if kind == "cell" else variables)[key] = value
 
 
+class RunawaySearch(RuntimeError):
+    """A semi-move walk passed its effect cap, or a lookahead search its
+    write budget; ``instr`` and ``vertex`` say where it was stopped."""
+
+    def __init__(self, what: str, instr: int, vertex: int):
+        super().__init__(f"{what} at instruction {instr}, vertex {vertex}")
+        self.instr = instr
+        self.vertex = vertex
+
+
 class RbgEngineBase(Engine):
-    """Shared apply/terminal logic for the two rbg executors."""
+    """The rbg executor: a walk over a lowered instruction program.
+
+    The two subclasses differ only in which lowering passes build the
+    program (``_optimize``).
+    """
 
     mode = "rbg"
+    _optimize: bool
 
     def __init__(self, game: RbgGame):
         self.game = game
         self.board = game.board
         self.player_count = len(game.player_names)
         self.piece_symbols = game.pieces.symbols
+        self.program = compiler.lower(game.nfa, game.board, self._optimize)
+        self._effect_cap = 4 * game.board.vertex_count + 64
 
     def initial_state(self) -> GameState:
         return self.game.initial_state()
-
-    def semimoves(self, state: GameState) -> list[Move]:
-        raise NotImplementedError
 
     def probe(self, state: GameState):
         moves = self.sort_moves(state, self.semimoves(state))
@@ -234,103 +264,104 @@ class RbgEngineBase(Engine):
             raise IllegalMove("move is not legal in this state")
         return self.apply(state, move)
 
-
-class RbgInterpreterEngine(RbgEngineBase):
-    """Direct NFA walker: epsilon edges followed at run time."""
-
-    mode = "rbg-interp"
-
-    def __init__(self, game: RbgGame):
-        super().__init__(game)
-        self._effect_cap = 4 * game.board.vertex_count + 64
-
     def semimoves(self, state: GameState) -> list[Move]:
-        nfa = self.game.nfa
-        edges = nfa.edges
-        neighbors = self.board.neighbors
+        prog = self.program
+        instrs = prog.instrs
+        shift = prog.shift_table
         contents = list(state.contents)
         variables = dict(state.variables)
         effects: list = []
         visited: set = set()
         found: dict = {}
-        # (id(sub), vertex, effects) -> body found; within this call the
+        # (sub entry, vertex, effects) -> body found; within this call the
         # effects fix the tentative board and variables.
         lookahead: dict = {}
         cap = self._effect_cap
 
-        def emit(switch_eff, replay: bool, target: int, vertex: int):
-            seq = tuple(effects) + ((switch_eff,) if switch_eff else ())
-            if (seq, replay) not in found:
-                found[(seq, replay)] = Move(seq, replay, (target, vertex))
-
-        def walk(node: int, vertex: int):
+        def walk(idx: int, vertex: int):
             if len(effects) > cap:
-                raise RuntimeError("runaway effect sequence in rules pattern")
+                raise RunawaySearch(
+                    "runaway effect sequence in rules pattern", idx, vertex
+                )
             so_far = tuple(effects)
-            key = (node, vertex, so_far)
+            key = (idx, vertex, so_far)
             if key in visited:
                 return
             visited.add(key)
-            for label, target in edges[node]:
-                kind = label[0]
-                if kind == "eps":
-                    walk(target, vertex)
-                elif kind == "shift":
-                    nv = neighbors[label[1]][vertex]
-                    if nv >= 0:
-                        walk(target, nv)
-                elif kind == "on":
-                    if contents[vertex] in label[1]:
-                        walk(target, vertex)
-                elif kind == "set":
-                    old = contents[vertex]
-                    contents[vertex] = label[1]
-                    effects.append(("cell", vertex, label[1]))
-                    walk(target, vertex)
+            instr = instrs[idx]
+            op = instr[0]
+            if op == GSHIFT:
+                nv = shift[instr[1]][vertex]
+                if nv >= 0 and contents[nv] in instr[2]:
+                    walk(instr[3], nv)
+            elif op == RAYSCAN:
+                table = shift[instr[1]]
+                ps, cont = instr[2], instr[3]
+                nv = table[vertex]
+                while nv >= 0 and contents[nv] in ps:
+                    walk(cont, nv)
+                    nv = table[nv]
+            elif op == FORK:
+                for t in instr[1]:
+                    walk(t, vertex)
+            elif op == SHIFT:
+                nv = shift[instr[1]][vertex]
+                if nv >= 0:
+                    walk(instr[2], nv)
+            elif op == ON:
+                if contents[vertex] in instr[1]:
+                    walk(instr[2], vertex)
+            elif op == SET:
+                old = contents[vertex]
+                contents[vertex] = instr[1]
+                effects.append(("cell", vertex, instr[1]))
+                walk(instr[2], vertex)
+                effects.pop()
+                contents[vertex] = old
+            elif op == ASSIGN:
+                olds = [(n, variables[n]) for n, _ in instr[1]]
+                for n, v in instr[1]:
+                    variables[n] = v
+                    effects.append(("var", n, v))
+                walk(instr[2], vertex)
+                for _ in instr[1]:
                     effects.pop()
-                    contents[vertex] = old
-                elif kind == "assign":
-                    olds = [(n, variables[n]) for n, _ in label[1]]
-                    for n, v in label[1]:
-                        variables[n] = v
-                        effects.append(("var", n, v))
-                    walk(target, vertex)
-                    for _ in label[1]:
-                        effects.pop()
-                    for n, v in olds:
-                        variables[n] = v
-                elif kind == "switch":
-                    emit(("pass", label[1]), False, target, vertex)
-                elif kind == "keep":
-                    emit(None, True, target, vertex)
-                elif kind == "check":
-                    sub = label[2]
-                    query = (id(sub), vertex, so_far)
-                    hit = lookahead.get(query)
-                    if hit is None:
-                        hit = lookahead[query] = self._exists(
-                            sub, vertex, contents, variables, label[3]
-                        )
-                    if hit == label[1]:
-                        walk(target, vertex)
+                for n, v in olds:
+                    variables[n] = v
+            elif op == EMIT:
+                if instr[1] is None:
+                    seq, replay = tuple(effects), True
+                else:
+                    seq, replay = tuple(effects) + (("pass", instr[1]),), False
+                if (seq, replay) not in found:
+                    found[(seq, replay)] = Move(seq, replay, (instr[2], vertex))
+            elif op == CHECK:
+                query = (instr[2], vertex, so_far)
+                hit = lookahead.get(query)
+                if hit is None:
+                    hit = lookahead[query] = self._exists(
+                        instr[5], vertex, contents, variables, instr[3]
+                    )
+                if hit == instr[1]:
+                    walk(instr[4], vertex)
+            # ACCEPT unreachable in the main program
 
-        walk(state.control, state.current_vertex)
+        walk(prog.entry[state.control], state.current_vertex)
         return list(found.values())
 
-    def _exists(self, sub: Nfa, vertex: int, contents, variables, pure: bool) -> bool:
-        """Existence search for a lookahead body; fully rolled back.
+    def _exists(self, sub: Nfa, vertex: int, contents, variables, pure) -> bool:
+        """Existence search for the lookahead body ``sub``; fully rolled
+        back.
 
-        Explicit-stack reachability over (node, vertex, writes) with one
-        seen set, where ``writes`` is the body's net tentative change (see
-        ``extend_writes``).  Mutation-free bodies always carry ``()``, so
-        ``pure`` needs no branch of its own.
+        Explicit-stack reachability over (instruction, vertex, writes)
+        from the body's entry with one seen set, where ``writes`` is the
+        body's net tentative change (see ``extend_writes``).
+        Mutation-free bodies always carry ``()``, so ``pure`` needs no
+        branch of its own.
         """
-        edges = sub.edges
-        neighbors = self.board.neighbors
-        accepting = sub.accepting
-        if sub.start in accepting:
-            return True
-        start = (sub.start, vertex, ())
+        instrs = self.program.instrs
+        shift = self.program.shift_table
+        start = (self.program.bodies[id(sub)], vertex, ())
         seen = {start}
         stack = [start]
         applied = ()
@@ -338,49 +369,83 @@ class RbgInterpreterEngine(RbgEngineBase):
         budget = LOOKAHEAD_WRITE_BUDGET
         try:
             while stack:
-                node, v, writes = stack.pop()
+                idx, v, writes = stack.pop()
+                instr = instrs[idx]
+                op = instr[0]
+                if op == ACCEPT:
+                    return True
                 if writes is not applied:
                     switch_writes(contents, variables, applied, writes, originals)
                     applied = writes
-                for label, target in edges[node]:
-                    kind = label[0]
-                    nw = writes
-                    if kind == "eps":
-                        nv = v
-                    elif kind == "shift":
-                        nv = neighbors[label[1]][v]
-                        if nv < 0:
-                            continue
-                    elif kind == "on":
-                        if contents[v] not in label[1]:
-                            continue
-                        nv = v
-                    elif kind == "check":
-                        if self._exists(
-                            label[2], v, contents, variables, label[3]
-                        ) != label[1]:
-                            continue
-                        nv = v
-                    elif kind == "set" or kind == "assign":
-                        budget -= 1
-                        if budget < 0:
-                            raise RuntimeError("runaway mutation in lookahead")
-                        nv = v
-                        nw = extend_writes(
-                            writes,
-                            ((("cell", v), label[1]),) if kind == "set"
-                            else [(("var", n), x) for n, x in label[1]],
-                            contents, variables, originals,
-                        )
-                    else:  # switch edges cannot occur inside checks (validated)
+                if op == FORK:
+                    for t in instr[1]:
+                        nxt = (t, v, writes)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+                    continue
+                if op == GSHIFT:
+                    nv = shift[instr[1]][v]
+                    if nv < 0 or contents[nv] not in instr[2]:
                         continue
-                    nxt = (target, nv, nw)
-                    if nxt not in seen:
-                        if target in accepting:
-                            return True
-                        seen.add(nxt)
-                        stack.append(nxt)
+                    nxt = (instr[3], nv, writes)
+                elif op == RAYSCAN:
+                    table = shift[instr[1]]
+                    ps, cont = instr[2], instr[3]
+                    nv = table[v]
+                    while nv >= 0 and contents[nv] in ps:
+                        nxt = (cont, nv, writes)
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+                        nv = table[nv]
+                    continue
+                elif op == SHIFT:
+                    nv = shift[instr[1]][v]
+                    if nv < 0:
+                        continue
+                    nxt = (instr[2], nv, writes)
+                elif op == ON:
+                    if contents[v] not in instr[1]:
+                        continue
+                    nxt = (instr[2], v, writes)
+                elif op == CHECK:
+                    if self._exists(
+                        instr[5], v, contents, variables, instr[3]
+                    ) != instr[1]:
+                        continue
+                    nxt = (instr[4], v, writes)
+                else:  # SET or ASSIGN; EMIT cannot occur inside checks
+                    budget -= 1
+                    if budget < 0:
+                        raise RunawaySearch("runaway mutation in lookahead", idx, v)
+                    nxt = (instr[2], v, extend_writes(
+                        writes,
+                        ((("cell", v), instr[1]),) if op == SET
+                        else [(("var", n), x) for n, x in instr[1]],
+                        contents, variables, originals,
+                    ))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
             return False
         finally:
             if applied:
                 switch_writes(contents, variables, applied, (), originals)
+
+
+class RbgInterpreterEngine(RbgEngineBase):
+    """Runs the raw Thompson automaton, lowered with no pass: every
+    epsilon edge is a fork branch followed at run time."""
+
+    mode = "rbg-interp"
+    _optimize = False
+
+
+class RbgCompiledEngine(RbgEngineBase):
+    """Runs the automaton lowered after epsilon elimination, guarded-shift
+    fusion and ray-scan collapsing; contract-identical to the interpreter
+    (same sorted move lists)."""
+
+    mode = "rbg-compiled"
+    _optimize = True

@@ -82,7 +82,7 @@ def build_nfa(pattern: ast.Pattern, context) -> Nfa:
     piece_id(name), player_index(name).  Equal check bodies (AST nodes
     are frozen, so equality is structural) share one sub-automaton.
     """
-    subs: dict = {}  # check body -> its Nfa
+    subs: dict = {}  # check body -> (its Nfa, whether it writes nothing)
 
     def resolve(pat: ast.Pattern):
         if isinstance(pat, ast.Name):
@@ -100,10 +100,12 @@ def build_nfa(pattern: ast.Pattern, context) -> Nfa:
         if isinstance(pat, ast.SwitchKeep):
             return ("keep",)
         if isinstance(pat, ast.Check):
-            sub = subs.get(pat.child)
-            if sub is None:
-                sub = subs[pat.child] = build(pat.child)
-            return ("check", pat.positive, sub, not ast.contains_mutation(pat.child))
+            body = subs.get(pat.child)
+            if body is None:
+                body = subs[pat.child] = (
+                    build(pat.child), not ast.contains_mutation(pat.child)
+                )
+            return ("check", pat.positive) + body
         raise TypeError(f"cannot build NFA from {pat!r}")
 
     def build(pat: ast.Pattern) -> Nfa:

@@ -18,8 +18,7 @@ import pytest
 
 from ggs import bench, library
 from ggs.core.rng import Prng
-from ggs.rbg.engine import RbgGame, RbgInterpreterEngine
-from ggs.rbg.compiler import RbgCompiledEngine
+from ggs.rbg.engine import RbgCompiledEngine, RbgInterpreterEngine
 
 from test_rbg_engine import (
     micro_game,

@@ -4,7 +4,11 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ggs import library
+
+from test_ludeme_compile import BAD_DESCRIPTIONS
 
 
 def run_cli(*args):
@@ -54,6 +58,47 @@ def test_validate_reports_diagnostics(tmp_path):
     proc = run_cli("validate", str(bad))
     assert proc.returncode == 1
     assert "Unbalanced" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "source, old, new, error",
+    [case[1:5] for case in BAD_DESCRIPTIONS],
+    ids=[case[0] for case in BAD_DESCRIPTIONS],
+)
+def test_validate_bad_ludemic_exits_1_on_one_line(tmp_path, source, old, new, error):
+    bad = tmp_path / "bad.lud"
+    bad.write_text(source.replace(old, new, 1))
+    proc = run_cli("validate", str(bad))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert f": {error.__name__}: " in line
+
+
+RUNAWAY_RULES = """
+#players = p(100), q(100)
+#pieces = e, w, b
+#variables =
+#board = rectangle(up,down,left,right, [e])
+#rules = ->p ( ([b] [w])* -> q )*
+"""
+
+
+def test_runaway_rules_exit_1_on_one_line(tmp_path):
+    # every ([b] [w]) round adds two effects, so the walk reaches the
+    # effect cap instead of ending
+    path = tmp_path / "runaway.rbg"
+    path.write_text(RUNAWAY_RULES)
+    for mode in ("interpreter", "compiled"):
+        for args in (("moves", str(path)), ("perft", str(path), "--depth", "1")):
+            proc = run_cli(*args, "--mode", mode)
+            assert proc.returncode == 1, (args, mode, proc.stderr)
+            assert proc.stdout == ""
+            (line,) = proc.stderr.splitlines()
+            assert line.startswith(
+                "RunawaySearch: runaway effect sequence in rules pattern at "
+                "instruction "
+            ), line
 
 
 def test_moves_lists_canonical_deltas():

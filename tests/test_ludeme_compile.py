@@ -5,13 +5,39 @@ import pytest
 from ggs import library
 from ggs.ludeme.compile import (
     ArityError,
+    LudemeError,
     OverlappingPlacement,
+    PlacementOutOfRange,
     UnknownLudeme,
     UnknownPiece,
+    UnsupportedPlayerCount,
     compile_ludemic,
 )
 
 AMAZONS = library.load_description("amazons", "ludemic")
+REVERSI = library.load_description("reversi", "ludemic")
+TICTACTOE = library.load_description("tictactoe", "ludemic")
+
+# (name, source, replaced text, replacement, error, the replacement's
+# substring the diagnostic points at)
+BAD_DESCRIPTIONS = [
+    ("negative-vertex", REVERSI, "{27 36}", "{-1 36}", PlacementOutOfRange, "-1"),
+    ("vertex-off-board", REVERSI, "{27 36}", "{99 36}", PlacementOutOfRange, "99"),
+    ("connected-no-selector", TICTACTOE, "(line 3)", "(connected)", ArityError,
+     "(connected)"),
+    ("stalemated-no-selector", TICTACTOE, "(line 3)", "(stalemated)",
+     ArityError, "(stalemated)"),
+    ("mode-no-count", TICTACTOE, "(mode 2)", "(mode)", ArityError, "(mode)"),
+    ("mode-not-a-number", TICTACTOE, "(mode 2)", "(mode x)", ArityError, "x"),
+    ("mode-three-players", TICTACTOE, "(mode 2)", "(mode 3)",
+     UnsupportedPlayerCount, "3"),
+]
+
+
+def position(text: str, offset: int) -> str:
+    """1-based line:col of text[offset]."""
+    before = text[:offset]
+    return f"{before.count(chr(10)) + 1}:{offset - before.rfind(chr(10))}"
 
 
 def test_amazons_structure():
@@ -71,3 +97,17 @@ def test_all_library_lud_files_compile():
         game = compile_ludemic(entry.lud_path.read_text())
         assert game.player_count == 2
         assert game.end_rules
+
+
+@pytest.mark.parametrize(
+    "source, old, new, error, at",
+    [case[1:] for case in BAD_DESCRIPTIONS],
+    ids=[case[0] for case in BAD_DESCRIPTIONS],
+)
+def test_bad_description_is_diagnosed_at_its_position(source, old, new, error, at):
+    bad = source.replace(old, new, 1)
+    where = position(bad, bad.index(new) + new.index(at))
+    with pytest.raises(error) as info:
+        compile_ludemic(bad)
+    assert isinstance(info.value, LudemeError)
+    assert str(info.value).endswith(f" at {where}")

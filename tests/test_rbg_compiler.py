@@ -8,13 +8,16 @@ import pytest
 from ggs import library
 from ggs.core.playout import run_playout
 from ggs.rbg.compiler import (
+    _NAMES,
+    ACCEPT,
     CHECK,
+    EMIT,
+    FORK,
     GSHIFT,
     RAYSCAN,
-    RbgCompiledEngine,
     dump_ir,
 )
-from ggs.rbg.engine import RbgGame, RbgInterpreterEngine
+from ggs.rbg.engine import RbgCompiledEngine, RbgGame, RbgInterpreterEngine
 
 MICRO_RAY = """
 #players = p(100), q(100)
@@ -55,23 +58,99 @@ def test_dump_ir_is_byte_stable():
 
 
 # sha256 of ``dump_ir`` followed by one "<nfa node> <entry index>" line per
-# entry-map item, sorted by node; computed before the lowering last changed.
+# entry-map item, sorted by node: the whole program as numbered, dead
+# instructions included.
 LOWERED_GOLDEN = {
     "Amazons":
-        "54bf9f2802f7fd4928f95aff2932b823a980c73b0274f8ecf53aaabb82a59d74",
+        "b620c9ef604896db8f02c03fe5c08bcf98660295d6273fae31411a391ee7baf8",
     "Breakthrough":
-        "a5f4a009bde607d42413a343aa4ee3f83bebb49b8c3bce5d104be3922ac99448",
+        "f3e0502d2063e3c1028db71686f102daaa904299071695f65a9a20fcc916743b",
     "Connect-4":
-        "2fa73801ecf1f6fd4882f363a2bb9349c088249c71064ad4217ef125aec94349",
+        "2cdd55c870a806df9bd4ba4244a88e1301b6919c1d0087b222428430793202ac",
     "Gomoku":
-        "9c936af11da2eaaf265bd50836521cc689017808664cdd7a67d681bdaecb447c",
+        "86bb5841bc2c027d5bb9e1e0d16e725563367130e58888c3ff8859422e0afe92",
     "Hex":
-        "995795efb01c3c709f5426cacb3c9f50af067a464b1130a248c9faae92801f1a",
+        "42212e0153bd9a7d0035c20090f3170c2d488fb2b83c11261e6dde02f8f53630",
     "Reversi":
-        "307e919c3309b424e72cf74842a56c5abef3714fe83205b9ce967560e0046b39",
+        "50b554d4466011c028bd281fa01d1a60628517152353bbe0663790395da07bfa",
     "Tic-Tac-Toe":
-        "1fb109deaf6a860f5bb40f60c97dc64e82f9c6538f497f201782f2d083cfbe41",
+        "9703c8c28bee000b90cb468da50ad00d2004d26d6fd86dc586c6b2c415aca736",
 }
+
+
+# sha256 of ``program_shape``: what the compiled executor can run, however
+# the lowering numbers its instructions.
+SHAPE_GOLDEN = {
+    "Amazons":
+        "38213f73d91c4a01edb122da53b7e3f265d75676e535b1c2330ac3d327c8080f",
+    "Breakthrough":
+        "599ddadf1dc80c6597f76be810f4bfc8acee4a486126a7e5754e5c497d032e0c",
+    "Connect-4":
+        "4030d0459e868bf38cc3a6493b8f587cb75e69a3c94155ba1604ab3c67518d7e",
+    "Gomoku":
+        "ec3d95ea732201f901b279e1b30096a1d9cb85013e4adb0d3099475042877664",
+    "Hex":
+        "81f3862a321705d944755828c42477cc021f2722cd1f879487cc752220d2ecf7",
+    "Reversi":
+        "8a6147e31a40f8da58a498f153f092dc6f920c430a29f1e9a6d3e29e7f6cb945",
+    "Tic-Tac-Toe":
+        "e34a1d641bb9c00ff150cf33d0e9c6c1330aed8021ca21ee5e2475345f1d1cec",
+}
+
+
+def program_shape(program) -> tuple[str, int]:
+    """(listing, instruction count) of the instructions reachable from
+    the entry map, walked from the entries in node order and renumbered in
+    discovery order: independent of how the lowering numbers them."""
+    instrs = program.instrs
+    index: dict = {}
+    order: list = []
+
+    def ref(i):
+        if i not in index:
+            index[i] = len(order)
+            order.append(i)
+        return index[i]
+
+    lines = [f"{node} {ref(i)}" for node, i in sorted(program.entry.items())]
+    for i in order:  # grows while it is walked
+        instr = instrs[i]
+        op = instr[0]
+        if op == FORK:
+            fields = tuple(ref(t) for t in instr[1])
+        elif op == CHECK:
+            fields = (instr[1], ref(instr[2]), instr[3], ref(instr[4]))
+        elif op in (EMIT, ACCEPT):
+            fields = instr[1:]
+        else:
+            fields = tuple(
+                tuple(sorted(f)) if isinstance(f, frozenset) else f
+                for f in instr[1:-1]
+            ) + (ref(instr[-1]),)
+        lines.append(f"{_NAMES[op]} {fields}")
+    return "\n".join(lines) + "\n", len(order)
+
+
+@pytest.mark.parametrize("game", sorted(SHAPE_GOLDEN))
+def test_reachable_program_is_pinned(game):
+    text, _ = program_shape(library.make_engine(game, "compiled").program)
+    assert hashlib.sha256(text.encode()).hexdigest() == SHAPE_GOLDEN[game]
+
+
+@pytest.mark.parametrize("game", sorted(SHAPE_GOLDEN))
+def test_interpreter_program_is_unoptimized_and_live(game):
+    program = library.make_engine(game, "interpreter").program
+    ops = Counter(instr[0] for instr in program.instrs)
+    assert ops[GSHIFT] == ops[RAYSCAN] == 0
+    _, reachable = program_shape(program)
+    assert reachable == len(program.instrs)
+
+
+def test_both_executors_share_one_walker():
+    for name in ("semimoves", "_exists"):
+        assert getattr(RbgInterpreterEngine, name) is getattr(
+            RbgCompiledEngine, name
+        )
 
 
 @pytest.mark.parametrize("game", sorted(LOWERED_GOLDEN))

@@ -13,13 +13,14 @@ from hypothesis import given, settings, strategies as st
 
 from ggs.core.board import RECT_DIRECTIONS
 from ggs.core.model import IllegalMove, Move
-from ggs.rbg import ast
+from ggs.rbg import ast, engine as rbg_engine
 from ggs.rbg.engine import (
+    RbgCompiledEngine,
     RbgGame,
     RbgInterpreterEngine,
     RulesMustOpenWithSwitch,
+    RunawaySearch,
 )
-from ggs.rbg.compiler import ACCEPT, CHECK, EMIT, FORK, RbgCompiledEngine
 
 from ggs import library
 
@@ -382,44 +383,37 @@ def test_runaway_check_body_raises_and_restores(engine_cls):
     assert restored == [True]
 
 
-def subprogram_shape(instrs, entry):
-    """Instructions reachable from entry, renumbered in discovery order:
-    equal for structurally equal lowered bodies."""
-    index = {entry: 0}
-    order = [entry]
+@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize(
+    "row, rules, message",
+    [
+        # every ([b] [w]) round adds two effects: the effect cap stops it
+        (["e"], "->p ( ([b] [w])* -> q )*",
+         "runaway effect sequence in rules pattern"),
+        # no accepting path: the (lowered) write budget stops the search
+        (["e"] * 4, "->p ( {? ((right [b]) + (right [w]))* [w] {b}} [b] -> q )*",
+         "runaway mutation in lookahead"),
+    ],
+)
+def test_runaway_error_names_instruction_and_vertex(
+    engine_cls, row, rules, message, monkeypatch
+):
+    monkeypatch.setattr(rbg_engine, "LOOKAHEAD_WRITE_BUDGET", 10)
+    eng = engine_cls(micro_game([row], rules))
+    with pytest.raises(RunawaySearch) as info:
+        eng.semimoves(eng.initial_state())
+    err = info.value
+    assert isinstance(err, RuntimeError)
+    assert 0 <= err.instr < len(eng.program.instrs)
+    assert 0 <= err.vertex < len(row)
+    assert str(err) == f"{message} at instruction {err.instr}, vertex {err.vertex}"
 
-    def ref(i):
-        if i not in index:
-            index[i] = len(order)
-            order.append(i)
-        return index[i]
 
-    shape = []
-    for i in order:  # grows while it is walked
-        instr = instrs[i]
-        op = instr[0]
-        if op == FORK:
-            shape.append((op, tuple(ref(t) for t in instr[1])))
-        elif op == CHECK:
-            shape.append((op, instr[1], ref(instr[2]), instr[3], ref(instr[4])))
-        elif op in (EMIT, ACCEPT):
-            shape.append(instr)
-        else:
-            shape.append(instr[:-1] + (ref(instr[-1]),))
-    return tuple(shape)
-
-
-@pytest.mark.parametrize("engine_cls", [RbgInterpreterEngine, RbgCompiledEngine])
+@pytest.mark.parametrize("engine_cls", ENGINES)
 def test_semimoves_repeats_no_lookahead_query(engine_cls):
     # Tic-Tac-Toe asks {? line3(me)} and {! line3(me)} after each placement
     game = RbgGame.from_text(library.load_description("tictactoe", "rbg"))
     eng = engine_cls(game)
-    if engine_cls is RbgCompiledEngine:
-        def shape(entry):
-            return subprogram_shape(eng.program.instrs, entry)
-    else:
-        def shape(sub):
-            return sub  # Nfa equality is structural
     state = eng.initial_state()
     for _ in range(2):
         state = eng.apply(state, eng.legal_moves(state)[0])
@@ -427,7 +421,8 @@ def test_semimoves_repeats_no_lookahead_query(engine_cls):
     exists = eng._exists
 
     def spy(sub, vertex, contents, variables, pure):
-        query = (shape(sub), vertex, tuple(contents), sorted(variables.items()))
+        # Nfa equality is structural
+        query = (sub, vertex, tuple(contents), sorted(variables.items()))
         assert query not in queries
         queries.append(query)
         return exists(sub, vertex, contents, variables, pure)
