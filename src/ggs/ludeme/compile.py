@@ -147,6 +147,8 @@ def _compile_move_rule(node) -> tuple[tuple, bool]:
     replay = False
     if args and isinstance(args[-1], SList) and args[-1].head == "then":
         then = args.pop()
+        if len(then.children) != 2:
+            raise ArityError("(then (replay)) takes one consequence", then)
         inner = _expect_list(then.children[1], "then body")
         if inner.head != "replay" or len(then.children) != 2:
             raise UnknownLudeme(inner.head, inner.line, inner.col)
@@ -227,9 +229,12 @@ def _compile_end_condition(node) -> tuple:
             raise ArityError("(stalemated (mover)) is the supported form", node)
         return ("stalemated",)
     if head == "line":
-        if not args:
+        if len(args) != 1:
             raise ArityError("(line <n>) takes a length", node)
-        return ("line", _int(args[0], "line length"))
+        length = _int(args[0], "line length")
+        if length < 1:
+            raise ArityError(f"line length must be positive, got {length}", args[0])
+        return ("line", length)
     if head == "boardFull":
         return ("boardFull",)
     if head == "noMovesAll":
@@ -258,7 +263,8 @@ def _compile_result(node) -> tuple:
     raise UnknownLudeme(head, node.line, node.col)
 
 
-_BOARD_GENERATORS = {"chessBoard", "rectBoard", "hexBoard"}
+# generator -> number of size arguments
+_BOARD_GENERATORS = {"chessBoard": 1, "rectBoard": 2, "hexBoard": 1}
 
 
 def compile_ludemic(source) -> CompiledLudemicGame:
@@ -302,7 +308,19 @@ def compile_ludemic(source) -> CompiledLudemicGame:
             for item in args[0].children:
                 item = _expect_list(item, "equipment item")
                 if item.head in _BOARD_GENERATORS:
+                    arity = _BOARD_GENERATORS[item.head]
+                    if len(item.children) != arity + 1:
+                        raise ArityError(
+                            f"({item.head}) takes {arity} size"
+                            f"{'s' if arity > 1 else ''}",
+                            item,
+                        )
                     nums = [_int(a, "size") for a in item.children[1:]]
+                    for n, n_node in zip(nums, item.children[1:]):
+                        if n < 1:
+                            raise ArityError(
+                                f"board size must be positive, got {n}", n_node
+                            )
                     if item.head == "chessBoard":
                         board = build_rectangle_board(nums[0], nums[0])
                         board_kind = "rect"
@@ -314,6 +332,11 @@ def compile_ludemic(source) -> CompiledLudemicGame:
                         board_kind = "hex"
                 else:
                     pname = item.head
+                    if not 2 <= len(item.children) <= 3:
+                        raise ArityError(
+                            f"({pname} Each|None [move rule]) declares a piece",
+                            item,
+                        )
                     ownership = _atom_text(item.children[1], "ownership")
                     if ownership not in ("Each", "None"):
                         raise ArityError(

@@ -5,22 +5,26 @@ automaton node becomes one instruction: a node with exactly one action
 edge is that edge's instruction, a check-body node that only accepts is
 ACCEPT, and any other node is a FORK whose branches are its ACCEPT, its
 action edges and, for each epsilon edge, the target node's instruction.
-``entry`` maps every node to its instruction, so control points (the
-node after a switch) mean the same in both programs.  Each distinct
-lookahead sub-automaton is lowered once; every CHECK on it points at the
-same entry.
+Control points (the node after a switch) are automaton node ids, and
+``entry`` maps each to its instruction, so they mean the same in both
+programs.  Each distinct lookahead sub-automaton is lowered once; every
+CHECK on it points at the same entry.
 
 The interpreter lowers the raw Thompson automaton and runs no pass, so
-it follows every epsilon edge at run time.  The compiled executor
-lowers the automaton after epsilon elimination and then fuses Shift+On
-into GuardedShift and collapses guarded G(G)* ray shapes into a single
-RayScan that emits every prefix stop in one pass over the precomputed
-shift table.
+it follows every epsilon edge at run time, and its ``entry`` maps every
+node.  The compiled executor lowers the automaton after epsilon
+elimination and runs one pass: every FORK or SHIFT that the program
+enters from outside its region (the FORK and SHIFT instructions
+reachable from it through FORK and SHIFT alone) becomes a JUMPS, whose
+table gives the exits that region reaches from each vertex.  Region
+interiors, and the nodes epsilon elimination leaves unreachable, are
+then dropped, so the compiled program holds only live instructions and
+its ``entry`` maps only control nodes.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .nfa import Nfa, eliminate_epsilon
 
@@ -29,25 +33,29 @@ from .nfa import Nfa, eliminate_epsilon
 FORK = 0      # (FORK, (idx, ...))
 SHIFT = 1     # (SHIFT, dir, next)
 ON = 2        # (ON, pieceset, next)
-GSHIFT = 3    # (GSHIFT, dir, pieceset, next)
 SET = 4       # (SET, piece, next)
 ASSIGN = 5    # (ASSIGN, assigns, next)
 EMIT = 6      # (EMIT, player_or_None, control_node)  None => keep mover
-RAYSCAN = 7   # (RAYSCAN, dir, pieceset, cont)
 CHECK = 8     # (CHECK, positive, sub_entry, pure, next, sub_nfa)
 ACCEPT = 9    # (ACCEPT,)
+JUMPS = 10    # (JUMPS, table, region_start)  table: vertex -> (exit
+#               indices, exit vertices), filled on first use
+# Retired with the guarded-shift and ray-scan passes (jump tables made
+# them slower than no pass); no lowering emits them, but external
+# listings such as perfbench's still name them.
+GSHIFT = 3
+RAYSCAN = 7
 
 _NAMES = {
     FORK: "fork",
     SHIFT: "shift",
     ON: "on",
-    GSHIFT: "gshift",
     SET: "set",
     ASSIGN: "assign",
     EMIT: "emit",
-    RAYSCAN: "rayscan",
     CHECK: "check",
     ACCEPT: "accept",
+    JUMPS: "jumps",
 }
 
 
@@ -57,12 +65,91 @@ class LoweredProgram:
     entry: dict  # nfa node id -> instruction index (main program)
     bodies: dict  # id(check body Nfa) -> entry index of its sub-program
     shift_table: list  # shift_table[direction][vertex] -> vertex or OFF_BOARD
+    # The FORK and SHIFT instructions the JUMPS pass replaced, keyed and
+    # linked by their index before dead-instruction elimination, and that
+    # index -> index after it, for every live instruction.
+    region: dict = field(default_factory=dict)
+    live_index: dict = field(default_factory=dict)
+    # one copy of each distinct exit-index or exit-vertex tuple
+    interned: dict = field(default_factory=dict, repr=False)
+
+    def jump_exits(self, start: int, vertex: int) -> tuple:
+        """(exit indices, exit vertices) that FORK and SHIFT steps alone
+        reach from region instruction ``start`` at ``vertex``, in the
+        order the walker's depth-first preorder first reaches them."""
+        region, shift, live_index = self.region, self.shift_table, self.live_index
+        idxs: list = []
+        verts: list = []
+        seen = set()
+        stack = [(start, vertex)]
+        while stack:
+            key = stack.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            i, v = key
+            node = region.get(i)
+            if node is None:
+                idxs.append(live_index[i])
+                verts.append(v)
+            elif node[0] == FORK:
+                stack.extend((t, v) for t in reversed(node[1]))
+            else:
+                nv = shift[node[1]][v]
+                if nv >= 0:
+                    stack.append((node[2], nv))
+        idxs, verts = tuple(idxs), tuple(verts)
+        interned = self.interned
+        return interned.setdefault(idxs, idxs), interned.setdefault(verts, verts)
+
+
+def region_exits(program: LoweredProgram, start: int) -> tuple[int, tuple]:
+    """(size, exits) of the region a JUMPS at region instruction ``start``
+    stands for: how many FORK/SHIFT instructions it replaced, and every
+    instruction it can exit to, in depth-first preorder."""
+    size, exits, stack, seen = 0, [], [start], set()
+    while stack:
+        i = stack.pop()
+        if i in seen:
+            continue
+        seen.add(i)
+        node = program.region.get(i)
+        if node is None:
+            exits.append(program.live_index[i])
+        else:
+            size += 1
+            stack.extend(reversed(_targets(node)))
+    return size, tuple(exits)
+
+
+def _targets(instr) -> tuple:
+    """The instruction indices ``instr`` can continue at."""
+    op = instr[0]
+    if op == FORK:
+        return instr[1]
+    if op == CHECK:
+        return instr[2], instr[4]
+    if op in (EMIT, ACCEPT):
+        return ()
+    return (instr[-1],)
+
+
+def _retarget(instr, new: dict) -> tuple:
+    """``instr`` with every instruction index mapped through ``new``; no
+    FORK or SHIFT is live once the jump-table pass has run."""
+    op = instr[0]
+    if op == CHECK:
+        return instr[:2] + (new[instr[2]], instr[3], new[instr[4]], instr[5])
+    if op in (EMIT, ACCEPT, JUMPS):
+        return instr
+    return instr[:-1] + (new[instr[-1]],)
 
 
 class _Lowerer:
     def __init__(self):
         self.instrs: list = []
         self.bodies: dict[int, int] = {}  # id(sub Nfa) -> entry index
+        self.region: dict = {}  # index -> FORK/SHIFT a JUMPS stands for
 
     def add(self, instr) -> int:
         self.instrs.append(instr)
@@ -111,55 +198,80 @@ class _Lowerer:
             return (CHECK, label[1], entry, label[3], nxt, sub)
         raise ValueError(f"unexpected label {label!r}")
 
-    # -- peephole passes ------------------------------------------------
+    # -- compiled-executor pass ------------------------------------------
 
-    def _fuse_guarded_shifts(self):
-        for i, instr in enumerate(self.instrs):
-            if instr[0] != SHIFT:
+    def _jump_tables(self, roots) -> set:
+        """Turn every FORK and SHIFT that the program enters from outside
+        its region into a JUMPS over that region: the FORK and SHIFT
+        instructions reachable from it through FORK and SHIFT alone.  Such
+        steps test and write nothing, so from one vertex a region always
+        reaches the same (exit, vertex) pairs, and JUMPS looks them up
+        instead of stepping through the region.  Returns the instructions
+        reachable from ``roots`` afterwards; region interiors are not."""
+        instrs, region = self.instrs, self.region
+        live: set = set()
+        stack = list(roots)
+        while stack:
+            i = stack.pop()
+            if i in live:
                 continue
-            nxt = self.instrs[instr[2]]
-            if nxt[0] == ON:
-                self.instrs[i] = (GSHIFT, instr[1], nxt[1], nxt[2])
+            live.add(i)
+            if instrs[i][0] not in (FORK, SHIFT):
+                stack.extend(_targets(instrs[i]))
+                continue
+            inner = [i]
+            while inner:
+                j = inner.pop()
+                if j in region:  # already stepped through
+                    continue
+                node = instrs[j]
+                if node[0] in (FORK, SHIFT):
+                    region[j] = node
+                    inner.extend(_targets(node))
+                else:
+                    stack.append(j)  # an exit, which the program runs
+            instrs[i] = (JUMPS, {}, i)
+        return live
 
-    def _build_rayscans(self):
-        for i, instr in enumerate(self.instrs):
-            if instr[0] != GSHIFT:
-                continue
-            _, d, ps, nxt = instr
-            fork = self.instrs[nxt]
-            if fork[0] != FORK:
-                continue
-            loop = [
-                t
-                for t in fork[1]
-                if self.instrs[t][0] == GSHIFT
-                and self.instrs[t][1] == d
-                and self.instrs[t][2] == ps
-                and self.instrs[t][3] == nxt
-            ]
-            rest = [t for t in fork[1] if t not in loop]
-            if not loop or not rest:
-                continue
-            if len(rest) == 1:
-                cont = rest[0]
-            else:
-                cont = self.add((FORK, tuple(rest)))
-            self.instrs[i] = (RAYSCAN, d, ps, cont)
+    def _drop_dead(self, live: set) -> dict:
+        """Keep only the ``live`` instructions, renumbered in their old
+        order; returns old index -> new index."""
+        new = {old: k for k, old in enumerate(sorted(live))}
+        self.instrs = [_retarget(self.instrs[old], new) for old in sorted(live)]
+        self.bodies = {key: new[i] for key, i in self.bodies.items()}
+        return new
 
 
 def lower(nfa: Nfa, board, optimize: bool) -> LoweredProgram:
     """Lower an automaton into an instruction program.  With ``optimize``
-    (the compiled executor) epsilon edges are eliminated first and the
-    fusion and ray-scan passes run; without it (the interpreter) the
-    automaton is lowered as it is."""
+    (the compiled executor) epsilon edges are eliminated first, then the
+    jump-table pass runs and dead instructions are dropped, so ``entry``
+    maps only control nodes (switch targets); without it (the
+    interpreter) the automaton is lowered as it is."""
     if optimize:
         nfa = eliminate_epsilon(nfa)
     low = _Lowerer()
     entry = low.lower_nfa(nfa, sub=False)
-    if optimize:
-        low._fuse_guarded_shifts()
-        low._build_rayscans()
-    return LoweredProgram(low.instrs, entry, low.bodies, board.neighbors)
+    if not optimize:
+        return LoweredProgram(low.instrs, entry, low.bodies, board.neighbors)
+    controls = {
+        target
+        for out in nfa.edges
+        for label, target in out
+        if label[0] in ("switch", "keep")
+    }
+    entry = {n: entry[n] for n in sorted(controls)}
+    new = low._drop_dead(
+        low._jump_tables([*entry.values(), *low.bodies.values()])
+    )
+    return LoweredProgram(
+        low.instrs,
+        {n: new[i] for n, i in entry.items()},
+        low.bodies,
+        board.neighbors,
+        low.region,
+        new,
+    )
 
 
 def dump_ir(program: LoweredProgram) -> str:
@@ -171,14 +283,11 @@ def dump_ir(program: LoweredProgram) -> str:
         if op == FORK:
             args = " ".join(str(t) for t in instr[1])
             lines.append(f"{i:4d}: {name} [{args}]")
-        elif op in (SHIFT,):
+        elif op == SHIFT:
             lines.append(f"{i:4d}: {name} d{instr[1]} -> {instr[2]}")
         elif op == ON:
             pieces = ",".join(str(p) for p in sorted(instr[1]))
             lines.append(f"{i:4d}: {name} {{{pieces}}} -> {instr[2]}")
-        elif op == GSHIFT:
-            pieces = ",".join(str(p) for p in sorted(instr[2]))
-            lines.append(f"{i:4d}: {name} d{instr[1]} {{{pieces}}} -> {instr[3]}")
         elif op == SET:
             lines.append(f"{i:4d}: {name} p{instr[1]} -> {instr[2]}")
         elif op == ASSIGN:
@@ -187,9 +296,10 @@ def dump_ir(program: LoweredProgram) -> str:
         elif op == EMIT:
             who = "keep" if instr[1] is None else f"player{instr[1]}"
             lines.append(f"{i:4d}: {name} {who} @node{instr[2]}")
-        elif op == RAYSCAN:
-            pieces = ",".join(str(p) for p in sorted(instr[2]))
-            lines.append(f"{i:4d}: {name} d{instr[1]} {{{pieces}}} -> {instr[3]}")
+        elif op == JUMPS:
+            size, exits = region_exits(program, instr[2])
+            targets = " ".join(str(t) for t in exits)
+            lines.append(f"{i:4d}: {name} ({size} fork/shift) -> [{targets}]")
         elif op == CHECK:
             sign = "?" if instr[1] else "!"
             pure = "pure" if instr[3] else "impure"

@@ -8,6 +8,11 @@ guards against pure loops and merges duplicate action paths.  A
 semi-move is emitted at every EMIT (a switch edge); move identity is the
 emitted effect sequence, and its control point is the automaton node
 after the switch.  A cap on the effect sequence stops runaway rules.
+In the compiled program a JUMPS instruction stands for a whole region
+of FORK and SHIFT instructions: it looks up the region's exits from the
+current vertex (built on first use, in the order stepping through the
+region would reach them) and tests an exit that is an ON in place, so
+movement such as ``anySquare`` costs one walker step.
 
 Lookahead checks run ``_exists`` on the check body's sub-automaton, which
 equal bodies share, starting from its lowered entry.  Within one
@@ -45,9 +50,8 @@ from .compiler import (
     CHECK,
     EMIT,
     FORK,
-    GSHIFT,
+    JUMPS,
     ON,
-    RAYSCAN,
     SET,
     SHIFT,
 )
@@ -290,18 +294,7 @@ class RbgEngineBase(Engine):
             visited.add(key)
             instr = instrs[idx]
             op = instr[0]
-            if op == GSHIFT:
-                nv = shift[instr[1]][vertex]
-                if nv >= 0 and contents[nv] in instr[2]:
-                    walk(instr[3], nv)
-            elif op == RAYSCAN:
-                table = shift[instr[1]]
-                ps, cont = instr[2], instr[3]
-                nv = table[vertex]
-                while nv >= 0 and contents[nv] in ps:
-                    walk(cont, nv)
-                    nv = table[nv]
-            elif op == FORK:
+            if op == FORK:
                 for t in instr[1]:
                     walk(t, vertex)
             elif op == SHIFT:
@@ -311,6 +304,17 @@ class RbgEngineBase(Engine):
             elif op == ON:
                 if contents[vertex] in instr[1]:
                     walk(instr[2], vertex)
+            elif op == JUMPS:
+                # no new locals: every one makes each walker frame dearer
+                hit = instr[1].get(vertex)
+                if hit is None:
+                    hit = instr[1][vertex] = prog.jump_exits(instr[2], vertex)
+                for t, nv in zip(*hit):
+                    instr = instrs[t]
+                    if instr[0] != ON:
+                        walk(t, nv)
+                    elif contents[nv] in instr[1]:
+                        walk(instr[2], nv)
             elif op == SET:
                 old = contents[vertex]
                 contents[vertex] = instr[1]
@@ -359,9 +363,10 @@ class RbgEngineBase(Engine):
         Mutation-free bodies always carry ``()``, so ``pure`` needs no
         branch of its own.
         """
-        instrs = self.program.instrs
-        shift = self.program.shift_table
-        start = (self.program.bodies[id(sub)], vertex, ())
+        program = self.program
+        instrs = program.instrs
+        shift = program.shift_table
+        start = (program.bodies[id(sub)], vertex, ())
         seen = {start}
         stack = [start]
         applied = ()
@@ -384,23 +389,7 @@ class RbgEngineBase(Engine):
                             seen.add(nxt)
                             stack.append(nxt)
                     continue
-                if op == GSHIFT:
-                    nv = shift[instr[1]][v]
-                    if nv < 0 or contents[nv] not in instr[2]:
-                        continue
-                    nxt = (instr[3], nv, writes)
-                elif op == RAYSCAN:
-                    table = shift[instr[1]]
-                    ps, cont = instr[2], instr[3]
-                    nv = table[v]
-                    while nv >= 0 and contents[nv] in ps:
-                        nxt = (cont, nv, writes)
-                        if nxt not in seen:
-                            seen.add(nxt)
-                            stack.append(nxt)
-                        nv = table[nv]
-                    continue
-                elif op == SHIFT:
+                if op == SHIFT:
                     nv = shift[instr[1]][v]
                     if nv < 0:
                         continue
@@ -409,6 +398,22 @@ class RbgEngineBase(Engine):
                     if contents[v] not in instr[1]:
                         continue
                     nxt = (instr[2], v, writes)
+                elif op == JUMPS:
+                    exits = instr[1].get(v)
+                    if exits is None:
+                        exits = instr[1][v] = program.jump_exits(instr[2], v)
+                    for t, nv in zip(*exits):
+                        target = instrs[t]
+                        if target[0] != ON:
+                            nxt = (t, nv, writes)
+                        elif contents[nv] in target[1]:
+                            nxt = (target[2], nv, writes)
+                        else:
+                            continue
+                        if nxt not in seen:
+                            seen.add(nxt)
+                            stack.append(nxt)
+                    continue
                 elif op == CHECK:
                     if self._exists(
                         instr[5], v, contents, variables, instr[3]
@@ -443,9 +448,9 @@ class RbgInterpreterEngine(RbgEngineBase):
 
 
 class RbgCompiledEngine(RbgEngineBase):
-    """Runs the automaton lowered after epsilon elimination, guarded-shift
-    fusion and ray-scan collapsing; contract-identical to the interpreter
-    (same sorted move lists)."""
+    """Runs the automaton lowered after epsilon elimination with jump
+    tables for its FORK/SHIFT regions and dead instructions dropped;
+    contract-identical to the interpreter (same sorted move lists)."""
 
     mode = "rbg-compiled"
     _optimize = True

@@ -31,6 +31,11 @@ BAD_DESCRIPTIONS = [
     ("mode-not-a-number", TICTACTOE, "(mode 2)", "(mode x)", ArityError, "x"),
     ("mode-three-players", TICTACTOE, "(mode 2)", "(mode 3)",
      UnsupportedPlayerCount, "3"),
+    ("board-one-size", TICTACTOE, "(rectBoard 3 3)", "(rectBoard 3)", ArityError,
+     "(rectBoard 3)"),
+    ("piece-no-owner", TICTACTOE, "(disc Each)", "(disc)", ArityError, "(disc)"),
+    ("then-empty", AMAZONS, "(then (replay))", "(then)", ArityError, "(then)"),
+    ("line-zero", TICTACTOE, "(line 3)", "(line 0)", ArityError, "0"),
 ]
 
 

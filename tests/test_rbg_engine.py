@@ -322,6 +322,19 @@ def test_long_pure_check_needs_no_deep_recursion():
         assert move.effects == (("cell", 0, 2), ("pass", 2))
 
 
+def test_long_shift_loop_needs_no_deep_compiled_recursion():
+    # right* is one jump-table lookup in the compiled executor; the
+    # interpreter still steps (and recurses) through every shift
+    row = ["e"] * 1200
+    game = micro_game([row], "->p ( right* [b] -> q )*")
+    eng = RbgCompiledEngine(game)
+    moves = eng.semimoves(eng.initial_state())
+    assert len(moves) == 1200
+    assert {m.effects for m in moves} == {
+        (("cell", v, 2), ("pass", 2)) for v in range(1200)
+    }
+
+
 ENGINES = (RbgInterpreterEngine, RbgCompiledEngine)
 
 
