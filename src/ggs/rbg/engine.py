@@ -2,12 +2,16 @@
 
 Both executors run one instruction walker over a program built by
 ``compiler.lower``; they differ only in the lowering passes (see
-``compiler``).  Legal-move search is a depth-first walk over
-configurations (instruction, walker vertex, effects so far), which both
-guards against pure loops and merges duplicate action paths.  A
-semi-move is emitted at every EMIT (a switch edge); move identity is the
-emitted effect sequence, and its control point is the automaton node
-after the switch.  A cap on the effect sequence stops runaway rules.
+``compiler``).  Legal-move search is one explicit-stack depth-first
+loop over configurations (instruction, walker vertex, effect id), which
+both guards against pure loops and merges duplicate action paths; each
+distinct effect sequence gets an interned id within the call, so a
+configuration key costs O(1) however long the sequence, and no rule
+needs deep recursion.  Writes are undone by entries on the same stack.
+A semi-move is emitted at every EMIT (a switch edge); move identity is
+the emitted effect sequence, and its control point is the automaton node
+after the switch, taken from the first path the walk's preorder reaches
+it by.  A cap on the effect sequence stops runaway rules.
 In the compiled program a JUMPS instruction stands for a whole region
 of FORK and SHIFT instructions: it looks up the region's exits from the
 current vertex (built on first use, in the order stepping through the
@@ -17,7 +21,7 @@ movement such as ``anySquare`` costs one walker step.
 Lookahead checks run ``_exists`` on the check body's sub-automaton, which
 equal bodies share, starting from its lowered entry.  Within one
 ``semimoves`` call its answers are memoized on (sub entry, vertex,
-effects so far), so ``{? b}`` and ``{! b}`` at one configuration cost one
+effect id), so ``{? b}`` and ``{! b}`` at one configuration cost one
 search.  Every body, with or without writes, is searched with an
 explicit stack over (instruction, vertex, net tentative writes), so a
 body's loops need no separate guard; a budget on write expansions stops
@@ -213,6 +217,13 @@ def switch_writes(contents, variables, applied: tuple, writes: tuple, originals)
         (contents if kind == "cell" else variables)[key] = value
 
 
+# Stack entries of the semi-move walk that undo a write instead of
+# visiting an instruction: (_UNDO_CELL, vertex, old piece) and
+# (_UNDO_VARS, [(name, old value), ...], 0).
+_UNDO_CELL = -1
+_UNDO_VARS = -2
+
+
 class RunawaySearch(RuntimeError):
     """A semi-move walk passed its effect cap, or a lookahead search its
     write budget; ``instr`` and ``vertex`` say where it was stopped."""
@@ -269,88 +280,124 @@ class RbgEngineBase(Engine):
         return self.apply(state, move)
 
     def semimoves(self, state: GameState) -> list[Move]:
+        """Every semi-move from ``state``, in the walker's preorder.
+
+        One depth-first loop over configurations (instruction, vertex,
+        effect id).  Each distinct effect sequence gets an interned id,
+        so configuration and lookahead keys are O(1) to build.  A step
+        with one successor continues in the loop; further FORK branches
+        and JUMPS exits are pushed in reverse, and a write pushes the
+        entry that undoes it beneath its successor, so the board, the
+        variables and the effect list are back when a sibling is popped.
+        """
         prog = self.program
         instrs = prog.instrs
         shift = prog.shift_table
         contents = list(state.contents)
         variables = dict(state.variables)
         effects: list = []
+        # (parent id, effect) -> id of the sequence it extends; 0 is ()
+        ids: dict = {}
         visited: set = set()
-        found: dict = {}
-        # (sub entry, vertex, effects) -> body found; within this call the
-        # effects fix the tentative board and variables.
+        found: dict = {}  # (effect id, EMIT player) -> Move
+        # (sub entry, vertex, effect id) -> body found; within this call
+        # the effects fix the tentative board and variables.
         lookahead: dict = {}
         cap = self._effect_cap
-
-        def walk(idx: int, vertex: int):
-            if len(effects) > cap:
-                raise RunawaySearch(
-                    "runaway effect sequence in rules pattern", idx, vertex
-                )
-            so_far = tuple(effects)
-            key = (idx, vertex, so_far)
-            if key in visited:
-                return
-            visited.add(key)
-            instr = instrs[idx]
-            op = instr[0]
-            if op == FORK:
-                for t in instr[1]:
-                    walk(t, vertex)
-            elif op == SHIFT:
-                nv = shift[instr[1]][vertex]
-                if nv >= 0:
-                    walk(instr[2], nv)
-            elif op == ON:
-                if contents[vertex] in instr[1]:
-                    walk(instr[2], vertex)
-            elif op == JUMPS:
-                # no new locals: every one makes each walker frame dearer
-                hit = instr[1].get(vertex)
-                if hit is None:
-                    hit = instr[1][vertex] = prog.jump_exits(instr[2], vertex)
-                for t, nv in zip(*hit):
-                    instr = instrs[t]
-                    if instr[0] != ON:
-                        walk(t, nv)
-                    elif contents[nv] in instr[1]:
-                        walk(instr[2], nv)
-            elif op == SET:
-                old = contents[vertex]
-                contents[vertex] = instr[1]
-                effects.append(("cell", vertex, instr[1]))
-                walk(instr[2], vertex)
-                effects.pop()
-                contents[vertex] = old
-            elif op == ASSIGN:
-                olds = [(n, variables[n]) for n, _ in instr[1]]
-                for n, v in instr[1]:
-                    variables[n] = v
-                    effects.append(("var", n, v))
-                walk(instr[2], vertex)
-                for _ in instr[1]:
+        stack = [(prog.entry[state.control], state.current_vertex, 0)]
+        while stack:
+            idx, vertex, eid = stack.pop()
+            if idx < 0:
+                if idx == _UNDO_CELL:
+                    contents[vertex] = eid
                     effects.pop()
-                for n, v in olds:
-                    variables[n] = v
-            elif op == EMIT:
-                if instr[1] is None:
-                    seq, replay = tuple(effects), True
                 else:
-                    seq, replay = tuple(effects) + (("pass", instr[1]),), False
-                if (seq, replay) not in found:
-                    found[(seq, replay)] = Move(seq, replay, (instr[2], vertex))
-            elif op == CHECK:
-                query = (instr[2], vertex, so_far)
-                hit = lookahead.get(query)
-                if hit is None:
-                    hit = lookahead[query] = self._exists(
-                        instr[5], vertex, contents, variables, instr[3]
+                    for n, v in vertex:
+                        variables[n] = v
+                        effects.pop()
+                continue
+            while True:
+                key = (idx, vertex, eid)
+                if key in visited:
+                    break
+                visited.add(key)
+                instr = instrs[idx]
+                op = instr[0]
+                if op == FORK:
+                    branches = instr[1]
+                    if not branches:
+                        break
+                    for t in branches[:0:-1]:
+                        stack.append((t, vertex, eid))
+                    idx = branches[0]
+                elif op == SHIFT:
+                    vertex = shift[instr[1]][vertex]
+                    if vertex < 0:
+                        break
+                    idx = instr[2]
+                elif op == ON:
+                    if contents[vertex] not in instr[1]:
+                        break
+                    idx = instr[2]
+                elif op == JUMPS:
+                    exits = instr[1].get(vertex)
+                    if exits is None:
+                        exits = instr[1][vertex] = prog.jump_exits(instr[2], vertex)
+                    targets, verts = exits
+                    for k in range(len(targets) - 1, -1, -1):
+                        t = targets[k]
+                        target = instrs[t]
+                        if target[0] != ON:
+                            stack.append((t, verts[k], eid))
+                        elif contents[verts[k]] in target[1]:
+                            stack.append((target[2], verts[k], eid))
+                    break
+                elif op == SET:
+                    stack.append((_UNDO_CELL, vertex, contents[vertex]))
+                    contents[vertex] = instr[1]
+                    effect = ("cell", vertex, instr[1])
+                    effects.append(effect)
+                    eid = ids.setdefault((eid, effect), len(ids) + 1)
+                    idx = instr[2]
+                    if len(effects) > cap:
+                        raise RunawaySearch(
+                            "runaway effect sequence in rules pattern", idx, vertex
+                        )
+                elif op == ASSIGN:
+                    stack.append(
+                        (_UNDO_VARS, [(n, variables[n]) for n, _ in instr[1]], 0)
                     )
-                if hit == instr[1]:
-                    walk(instr[4], vertex)
-            # ACCEPT unreachable in the main program
-
-        walk(prog.entry[state.control], state.current_vertex)
+                    for n, v in instr[1]:
+                        variables[n] = v
+                        effect = ("var", n, v)
+                        effects.append(effect)
+                        eid = ids.setdefault((eid, effect), len(ids) + 1)
+                    idx = instr[2]
+                    if len(effects) > cap:
+                        raise RunawaySearch(
+                            "runaway effect sequence in rules pattern", idx, vertex
+                        )
+                elif op == EMIT:
+                    if (eid, instr[1]) not in found:
+                        if instr[1] is None:
+                            seq, replay = tuple(effects), True
+                        else:
+                            seq = tuple(effects) + (("pass", instr[1]),)
+                            replay = False
+                        found[eid, instr[1]] = Move(seq, replay, (instr[2], vertex))
+                    break
+                elif op == CHECK:
+                    query = (instr[2], vertex, eid)
+                    hit = lookahead.get(query)
+                    if hit is None:
+                        hit = lookahead[query] = self._exists(
+                            instr[5], vertex, contents, variables, instr[3]
+                        )
+                    if hit != instr[1]:
+                        break
+                    idx = instr[4]
+                else:  # ACCEPT, unreachable in the main program
+                    break
         return list(found.values())
 
     def _exists(self, sub: Nfa, vertex: int, contents, variables, pure) -> bool:

@@ -131,9 +131,13 @@ def _eps_closure(nfa: Nfa, node: int) -> set[int]:
 def eliminate_epsilon(nfa: Nfa) -> Nfa:
     """Equivalent automaton with no epsilon edges (same node ids).
 
-    Lookahead sub-automata are eliminated recursively, each shared
-    sub-automaton once, so sharing survives.  Acceptance becomes a node
-    set: every node whose closure contained the accept node.
+    A node's new edges are the action edges of its epsilon closure, in
+    the closure's iteration order; each closure is computed once, and
+    only for the nodes that need edges, so most unreachable nodes keep
+    none (see ``_eliminate``).  Lookahead sub-automata are eliminated
+    recursively, each shared sub-automaton once, so sharing survives.
+    Acceptance becomes a node set: every such node whose closure
+    contained the accept node.
     """
     done: dict[int, Nfa] = {}  # id(sub) -> its eliminated form
 
@@ -149,16 +153,40 @@ def eliminate_epsilon(nfa: Nfa) -> Nfa:
 
 
 def _eliminate(nfa: Nfa, convert) -> Nfa:
-    closures = [_eps_closure(nfa, n) for n in range(nfa.node_count)]
-    accepting = frozenset(
-        n for n in range(nfa.node_count) if nfa.accept in closures[n]
-    )
-    new_edges: list[list] = []
-    for n in range(nfa.node_count):
-        out = []
+    # Only the nodes that need edges get them, each from its closure
+    # computed once: the nodes the new edges reach from the start, and
+    # the nodes whose closure holds a check edge.  The latter can be
+    # unreachable, but lowering numbers a check body's instructions where
+    # it first meets the body in node order, so their edges keep the
+    # lowered numbering as it was.  Every other node keeps no edge.
+    edges = nfa.edges
+    back: list[list] = [[] for _ in edges]  # epsilon edges reversed
+    queued = {nfa.start}
+    stack = []
+    for n, out in enumerate(edges):
+        for label, target in out:
+            if label == EPS:
+                back[target].append(n)
+            elif label[0] == "check" and n not in queued:
+                queued.add(n)
+                stack.append(n)
+    while stack:
+        for m in back[stack.pop()]:
+            if m not in queued:
+                queued.add(m)
+                stack.append(m)
+    new_edges: list[list] = [[] for _ in edges]
+    accepting = []
+    stack = list(queued)
+    while stack:
+        n = stack.pop()
+        closure = _eps_closure(nfa, n)
+        if nfa.accept in closure:
+            accepting.append(n)
+        out = new_edges[n]
         seen = set()
-        for m in closures[n]:
-            for label, target in nfa.edges[m]:
+        for m in closure:
+            for label, target in edges[m]:
                 if label == EPS:
                     continue
                 key = (label[0], label[1] if len(label) > 1 else None,
@@ -166,5 +194,7 @@ def _eliminate(nfa: Nfa, convert) -> Nfa:
                 if key not in seen:
                     seen.add(key)
                     out.append((convert(label), target))
-        new_edges.append(out)
-    return Nfa(new_edges, nfa.start, nfa.accept, accepting)
+                    if target not in queued:
+                        queued.add(target)
+                        stack.append(target)
+    return Nfa(new_edges, nfa.start, nfa.accept, frozenset(accepting))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from ggs.core.board import RECT_DIRECTIONS
 from ggs.core.model import IllegalMove, Move
 from ggs.rbg import ast, engine as rbg_engine
+from ggs.rbg.compiler import ASSIGN, CHECK, EMIT, FORK, JUMPS, ON, SET, SHIFT
 from ggs.rbg.engine import (
     RbgCompiledEngine,
     RbgGame,
@@ -322,12 +323,16 @@ def test_long_pure_check_needs_no_deep_recursion():
         assert move.effects == (("cell", 0, 2), ("pass", 2))
 
 
-def test_long_shift_loop_needs_no_deep_compiled_recursion():
-    # right* is one jump-table lookup in the compiled executor; the
-    # interpreter still steps (and recurses) through every shift
+ENGINES = (RbgInterpreterEngine, RbgCompiledEngine)
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_long_shift_loop_needs_no_deep_recursion(engine_cls):
+    # the interpreter steps through all 1,200 shifts; the compiled
+    # executor looks right* up in one jump table
     row = ["e"] * 1200
     game = micro_game([row], "->p ( right* [b] -> q )*")
-    eng = RbgCompiledEngine(game)
+    eng = engine_cls(game)
     moves = eng.semimoves(eng.initial_state())
     assert len(moves) == 1200
     assert {m.effects for m in moves} == {
@@ -335,7 +340,19 @@ def test_long_shift_loop_needs_no_deep_compiled_recursion():
     }
 
 
-ENGINES = (RbgInterpreterEngine, RbgCompiledEngine)
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_long_write_loop_needs_no_deep_recursion(engine_cls):
+    # every step writes, so no configuration repeats and the walk is
+    # 1,200 writes deep in both executors
+    row = ["e"] * 1200
+    game = micro_game([row], "->p ( [b] (right [b])* -> q )*")
+    eng = engine_cls(game)
+    moves = eng.semimoves(eng.initial_state())
+    assert len(moves) == 1200
+    assert {m.effects for m in moves} == {
+        tuple(("cell", v, 2) for v in range(k)) + (("pass", 2),)
+        for k in range(1, 1201)
+    }
 
 
 def spy_restoration(eng):
@@ -444,6 +461,153 @@ def test_semimoves_repeats_no_lookahead_query(engine_cls):
     moves = eng.semimoves(state)
     # {! anyLine3(opp)} once, then one line3 query per placement
     assert len(moves) == 7 and len(queries) == 1 + 7
+
+
+# -- walk order oracle ----------------------------------------------------
+
+
+def recursive_semimoves(eng, state):
+    """The semi-move walk as one recursive call per configuration, kept
+    as the reference for the order of the moves ``semimoves`` emits and
+    for each move's first-found control point."""
+    prog = eng.program
+    instrs = prog.instrs
+    shift = prog.shift_table
+    contents = list(state.contents)
+    variables = dict(state.variables)
+    effects: list = []
+    visited: set = set()
+    found: dict = {}
+    lookahead: dict = {}
+
+    def walk(idx, vertex):
+        if len(effects) > eng._effect_cap:
+            raise RunawaySearch(
+                "runaway effect sequence in rules pattern", idx, vertex
+            )
+        so_far = tuple(effects)
+        if (idx, vertex, so_far) in visited:
+            return
+        visited.add((idx, vertex, so_far))
+        instr = instrs[idx]
+        op = instr[0]
+        if op == FORK:
+            for t in instr[1]:
+                walk(t, vertex)
+        elif op == SHIFT:
+            nv = shift[instr[1]][vertex]
+            if nv >= 0:
+                walk(instr[2], nv)
+        elif op == ON:
+            if contents[vertex] in instr[1]:
+                walk(instr[2], vertex)
+        elif op == JUMPS:
+            for t, nv in zip(*prog.jump_exits(instr[2], vertex)):
+                target = instrs[t]
+                if target[0] != ON:
+                    walk(t, nv)
+                elif contents[nv] in target[1]:
+                    walk(target[2], nv)
+        elif op == SET:
+            old = contents[vertex]
+            contents[vertex] = instr[1]
+            effects.append(("cell", vertex, instr[1]))
+            walk(instr[2], vertex)
+            effects.pop()
+            contents[vertex] = old
+        elif op == ASSIGN:
+            olds = [(n, variables[n]) for n, _ in instr[1]]
+            for n, v in instr[1]:
+                variables[n] = v
+                effects.append(("var", n, v))
+            walk(instr[2], vertex)
+            for _ in instr[1]:
+                effects.pop()
+            for n, v in olds:
+                variables[n] = v
+        elif op == EMIT:
+            if instr[1] is None:
+                seq, replay = tuple(effects), True
+            else:
+                seq, replay = tuple(effects) + (("pass", instr[1]),), False
+            if (seq, replay) not in found:
+                found[seq, replay] = Move(seq, replay, (instr[2], vertex))
+        elif op == CHECK:
+            query = (instr[2], vertex, so_far)
+            if query not in lookahead:
+                lookahead[query] = eng._exists(
+                    instr[5], vertex, contents, variables, instr[3]
+                )
+            if lookahead[query] == instr[1]:
+                walk(instr[4], vertex)
+
+    walk(prog.entry[state.control], state.current_vertex)
+    return list(found.values())
+
+
+def walk_outcome(walker, eng, state):
+    """The (effects, replay, control) list ``walker`` finds, in order, or
+    where it stopped a runaway walk; and the moves found."""
+    try:
+        moves = walker(eng, state)
+    except RunawaySearch as err:
+        return ("runaway", err.instr, err.vertex), []
+    return [(m.effects, m.replay, m.control) for m in moves], moves
+
+
+def assert_walks_match_oracle(game, seed, plies):
+    """At every state of a seeded walk both executors find exactly what
+    the recursive reference walk finds on their program."""
+    for engine_cls in ENGINES:
+        eng = engine_cls(game)
+        rng = random.Random(seed)
+        state = eng.initial_state()
+        for _ in range(plies):
+            got, moves = walk_outcome(engine_cls.semimoves, eng, state)
+            expected, _ = walk_outcome(recursive_semimoves, eng, state)
+            assert got == expected, engine_cls.__name__
+            if not moves:
+                break
+            state = eng.apply(state, rng.choice(moves))
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_walk_order_matches_recursive_oracle_on_micro_games(seed):
+    # random patterns with stars and checks around a loop of writes that
+    # the board edge ends, so effect sequences of many lengths meet
+    rng = random.Random(seed)
+    cols = rng.randint(2, 4)
+    rows = [
+        [rng.choice(PIECES) for _ in range(cols)] for _ in range(rng.randint(1, 3))
+    ]
+    write_loop = ast.Star(
+        ast.Concat(
+            (ast.Name(rng.choice(RECT_DIRECTIONS[:4])), ast.SetHere(rng.choice(PIECES)))
+        )
+    )
+    first = ast.Concat(
+        (
+            random_micro_pattern(rng, 1, allow_check=True),
+            write_loop,
+            random_micro_pattern(rng, 1, allow_check=True),
+        )
+    )
+    second = random_micro_pattern(rng, allow_check=True)
+    game = micro_game(
+        rows, f"->p ( {render(first)} -> q {render(second)} -> p )*"
+    )
+    assert_walks_match_oracle(game, seed, 6)
+
+
+@settings(max_examples=14, deadline=None, database=None)
+@given(
+    name=st.sampled_from([entry.name for entry in library.list_games()]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_walk_order_matches_recursive_oracle_on_library_games(name, seed):
+    game = RbgGame.from_text(library.load_description(name, "rbg"))
+    assert_walks_match_oracle(game, seed, 6)
 
 
 # -- library game behavior ----------------------------------------------
