@@ -66,13 +66,20 @@ def count_tokens(text: str, dialect: str) -> int:
 
 
 def dedup_moves(engine, state, moves):
-    """One representative per distinct state delta, in canonical order."""
+    """One representative per distinct state delta, in canonical order.
+
+    Moves listed by ``probe(state)`` carry their canonical key, equal
+    exactly when their deltas are equal, so those keys are reused; a list
+    with an unkeyed move is keyed by delta text.
+    """
+    keys = [m.key for m in moves]
+    if None in keys:
+        keys = [engine.delta_text(state, m) for m in moves]
     seen = set()
     out = []
-    for m in moves:
-        text = engine.delta_text(state, m)
-        if text not in seen:
-            seen.add(text)
+    for m, key in zip(moves, keys):
+        if key not in seen:
+            seen.add(key)
             out.append(m)
     return out
 

@@ -3,7 +3,8 @@
 A board is a finite set of vertices with direction-labelled edges.  All
 generators produce row-major vertex ids with id 0 at the top-left corner.
 Coordinate labels use files a.. from the left and ranks numbered from the
-bottom, so id 0 on a 10x10 board is "a10".
+bottom, so id 0 on a 10x10 board is "a10".  Files past z continue as in a
+spreadsheet: z, aa, ab, ..., az, ba, ...
 """
 
 from __future__ import annotations
@@ -73,15 +74,28 @@ class BoardGraph:
         return self.coord_labels[vertex]
 
     def decode_coord(self, text: str) -> int:
-        m = re.fullmatch(r"([a-z])(\d+)", text)
+        m = re.fullmatch(r"([a-z]+)(\d+)", text)
         if not m:
             raise UnknownCoordinate(text)
-        col = ord(m.group(1)) - ord("a")
+        col = 0
+        for ch in m.group(1):
+            col = col * 26 + ord(ch) - ord("a") + 1
+        col -= 1
         rank = int(m.group(2))
         row = self.rows - rank
         if not (0 <= col < self.cols and 0 <= row < self.rows):
             raise UnknownCoordinate(text)
         return row * self.cols + col
+
+
+def _file_label(col: int) -> str:
+    """Spreadsheet-style file name of a 0-based column: a..z, aa, ab, ..."""
+    label = ""
+    col += 1
+    while col:
+        col, digit = divmod(col - 1, 26)
+        label = chr(ord("a") + digit) + label
+    return label
 
 
 def _build(rows: int, cols: int, directions: tuple[str, ...]) -> BoardGraph:
@@ -99,9 +113,8 @@ def _build(rows: int, cols: int, directions: tuple[str, ...]) -> BoardGraph:
                 else:
                     table.append(OFF_BOARD)
         neighbors.append(table)
-    labels = [
-        f"{chr(ord('a') + c)}{rows - r}" for r in range(rows) for c in range(cols)
-    ]
+    files = [_file_label(c) for c in range(cols)]
+    labels = [f"{files[c]}{rows - r}" for r in range(rows) for c in range(cols)]
     return BoardGraph(rows, cols, directions, neighbors, labels)
 
 

@@ -7,7 +7,7 @@ ordering and cross-dialect comparison.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .board import BoardGraph
 
@@ -83,6 +83,10 @@ class Move:
     replay: bool = False
     # Private front-end payload (automaton node for the regex dialect).
     control: object = None
+    # Canonical ordering key for the state the move was listed in, set by
+    # the generator or by ``Engine.sort_moves``; equal keys mean equal
+    # state deltas.  Not part of the move's identity.
+    key: object = field(default=None, compare=False, repr=False)
 
     def destination(self) -> int:
         """Last cell written by this move, or NO_VERTEX."""

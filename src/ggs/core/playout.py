@@ -85,15 +85,23 @@ class Engine:
 
     def sort_moves(self, state: GameState, moves: list[Move]) -> list[Move]:
         """Canonical order: delta text, then raw effect text among moves
-        with equal delta text; moves equal in both keep their input order."""
+        with equal delta text; moves equal in both keep their input order.
+        Each move keeps its delta text as its ``key``."""
         delta_text = self.delta_text
         texts = [delta_text(state, m) for m in moves]
-        order = sorted(range(len(moves)), key=texts.__getitem__)
-        if len(set(texts)) == len(texts):
+        for m, text in zip(moves, texts):
+            m.key = text
+        return self.order_by_keys(moves, texts)
+
+    def order_by_keys(self, moves: list[Move], keys: list) -> list[Move]:
+        """Sort by ``keys`` (ordered as the delta texts), then by raw effect
+        text among equal keys; full ties keep their input order."""
+        order = sorted(range(len(moves)), key=keys.__getitem__)
+        if len(set(keys)) == len(keys):
             return [moves[i] for i in order]
         board, symbols = self.board, self.piece_symbols
         out = []
-        for _, run in groupby(order, key=texts.__getitem__):
+        for _, run in groupby(order, key=keys.__getitem__):
             group = [moves[i] for i in run]
             if len(group) > 1:
                 group.sort(key=lambda m: encode_effects(m, board, symbols))

@@ -332,6 +332,11 @@ def compile_ludemic(source) -> CompiledLudemicGame:
                         board_kind = "hex"
                 else:
                     pname = item.head
+                    if pname[-1:].isdigit():
+                        # placements and symbols append the owner's number
+                        raise ArityError(
+                            f"piece name {pname!r} must not end in a digit", item
+                        )
                     if not 2 <= len(item.children) <= 3:
                         raise ArityError(
                             f"({pname} Each|None [move rule]) declares a piece",
@@ -418,12 +423,13 @@ def compile_ludemic(source) -> CompiledLudemicGame:
             pl = _expect_list(pl, "placement")
             if pl.head != "place" or len(pl.children) != 3:
                 raise ArityError('(place "PieceN" {ids...})')
-            base, owner = _split_instance(_atom_text(pl.children[1], "piece name"))
+            name_node = pl.children[1]
+            base, owner = _split_instance(_atom_text(name_node, "piece name"))
             if base not in piece_defs:
-                raise UnknownPiece(base)
+                raise UnknownPiece(base, name_node)
             key = (base, owner if piece_defs[base].ownership == "Each" else 0)
             if key not in instance_ids:
-                raise UnknownPiece(f"{base} for player {owner}")
+                raise UnknownPiece(f"{base} for player {owner}", name_node)
             ids_node = pl.children[2]
             if not isinstance(ids_node, SSet):
                 raise ArityError("placement vertex ids must be a set")

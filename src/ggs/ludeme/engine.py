@@ -1,15 +1,26 @@
-"""Evaluator for compiled ludemic games."""
+"""Evaluator for compiled ludemic games.
+
+At build the engine compiles the play rule and the end rules into
+closures, one set per mover, so no rule head is dispatched while a game
+is played.  Bound at build time: neighbour tables per direction, the
+player-relative direction maps, one tuple from piece id to that piece's
+move closure, the piece ids of each player, and conditions, which depend
+only on the piece at the tested cell and so compile to a table
+``accepts[piece id]``.
+
+Each generated move carries its canonical ordering key (``Move.key``):
+the ranks of its changed cells, then a sentinel above every rank, then
+the next mover, packed into one integer (see ``_KeyPacker``).  A cell's
+rank is the position of its ``cell:<coord>=<sym>`` token in string
+order, so when no piece symbol is a proper prefix of another the keys
+order moves exactly as their delta texts do and ``sort_moves`` needs no
+text.  Otherwise, and for custodial flips (any number of writes), moves
+are ordered by delta text (``Engine.sort_moves``).
+"""
 
 from __future__ import annotations
 
-from ..core.board import BoardGraph
-from ..core.model import (
-    GameState,
-    IllegalMove,
-    Move,
-    NO_VERTEX,
-    apply_effects,
-)
+from ..core.model import GameState, IllegalMove, Move, NO_VERTEX, apply_effects
 from ..core.playout import Engine
 from .compile import CompiledLudemicGame
 
@@ -33,17 +44,20 @@ _LINE_AXES = (
 )
 
 
-def detect_line(
-    board: BoardGraph, contents, last_to: int, piece_ids, n: int
-) -> bool:
-    """Run of >= n cells holding any of piece_ids through last_to."""
+def _axis_tables(board) -> tuple:
+    """Neighbour tables of each line axis, as (forward, backward) pairs."""
+    return tuple(
+        tuple(board.neighbors[board.direction_index(name)] for name in axis)
+        for axis in _LINE_AXES
+    )
+
+
+def _line_through(axes, contents, last_to: int, piece_ids, n: int) -> bool:
     if last_to == NO_VERTEX or contents[last_to] not in piece_ids:
         return False
-    for fwd, back in _LINE_AXES:
+    for pair in axes:
         count = 1
-        for name in (fwd, back):
-            d = board.direction_index(name)
-            table = board.neighbors[d]
+        for table in pair:
             v = table[last_to]
             while v >= 0 and contents[v] in piece_ids:
                 count += 1
@@ -53,9 +67,12 @@ def detect_line(
     return False
 
 
-def region_connected(
-    board: BoardGraph, contents, piece_ids, side_a, side_b
-) -> bool:
+def detect_line(board, contents, last_to: int, piece_ids, n: int) -> bool:
+    """Run of >= n cells holding any of piece_ids through last_to."""
+    return _line_through(_axis_tables(board), contents, last_to, piece_ids, n)
+
+
+def region_connected(board, contents, piece_ids, side_a, side_b) -> bool:
     """True iff a chain of the player's stones joins the two sides."""
     frontier = [v for v in side_a if contents[v] in piece_ids]
     seen = set(frontier)
@@ -72,6 +89,49 @@ def region_connected(
     return False
 
 
+class _KeyPacker:
+    """Canonical ordering keys of moves whose writes the generator knows.
+
+    A key is the digit sequence (sorted ranks of the changed cells,
+    sentinel, next mover) packed as a fixed-width base-``base`` integer;
+    no such sequence is a prefix of another, so integer order is sequence
+    order.  Ranks start at 1: the empty cell list sorts first in text
+    (";" < "c"), so its sequence is (0, mover).  Cell tokens differ before
+    their "=" unless they share a coordinate, so the ranks are in text
+    order exactly when no piece symbol is a proper prefix of another (the
+    one-digit movers of a two-player game compare alike as text and as
+    numbers); otherwise ``ordered`` is False and keys only tell equal
+    deltas from different ones.
+    """
+
+    def __init__(self, engine: Engine):
+        flat = [tok for row in engine.cell_tokens for tok in row]
+        rank = [0] * len(flat)
+        for r, i in enumerate(sorted(range(len(flat)), key=flat.__getitem__), 1):
+            rank[i] = r
+        self._rank = rank
+        self._width = len(engine.piece_symbols)
+        self._vertices = range(engine.board.vertex_count)
+        symbols = sorted(engine.piece_symbols)
+        self.ordered = not any(b.startswith(a) for a, b in zip(symbols, symbols[1:]))
+        self.sentinel = len(flat) + 1
+        self.base = max(self.sentinel, engine.player_count) + 1
+
+    def ranks(self, pid: int) -> tuple:
+        """Rank of the write of pid, per vertex."""
+        rank, width = self._rank, self._width
+        return tuple(rank[v * width + pid] for v in self._vertices)
+
+    def no_change(self, mover: int) -> int:
+        return mover * self.base**2
+
+    def one_change(self, pid: int, mover: int) -> tuple:
+        """Key of the move whose one change writes pid, per vertex."""
+        b = self.base
+        tail = self.sentinel * b**2 + mover * b
+        return tuple(r * b**3 + tail for r in self.ranks(pid))
+
+
 class LudemicEngine(Engine):
     mode = "ludemic"
 
@@ -81,7 +141,25 @@ class LudemicEngine(Engine):
         self.player_count = game.player_count
         self.piece_symbols = game.pieces.symbols
         self._owner = game.pieces.owner_of
-        self._all_dirs = tuple(range(len(game.board.directions)))
+        self._base_of = {pid: base for (base, _), pid in game.instance_ids.items()}
+        self._dir_tables = tuple(self.board.neighbors)
+        pieces = range(len(self.piece_symbols))
+        self._keys = _KeyPacker(self)
+        players = range(1, self.player_count + 1)
+        self._ids_of = {
+            p: frozenset(pid for pid in pieces if self._owner[pid] == p)
+            for p in players
+        }
+        self._plays = (None,) + tuple(
+            self._compile_play(game.play_rule, p) for p in players
+        )
+        self._ends = (None,) + tuple(
+            tuple(
+                (self._compile_end(cond, p), self._compile_result(result, p))
+                for cond, result in game.end_rules
+            )
+            for p in players
+        )
 
     # -- state ----------------------------------------------------------
 
@@ -112,168 +190,259 @@ class LudemicEngine(Engine):
         return self.apply(state, move)
 
     def _generate(self, state: GameState, mover: int) -> list[Move]:
-        return self._eval_play(self.game.play_rule, state, mover)
+        return self._plays[mover](state)
 
-    def _eval_play(self, rule, state: GameState, mover: int) -> list[Move]:
+    def sort_moves(self, state: GameState, moves: list[Move]) -> list[Move]:
+        """Canonical order from the keys the generator attached; by delta
+        text when a move carries none or the ranks are not in text order."""
+        if self._keys.ordered:
+            keys = [m.key for m in moves]
+            if None not in keys:
+                return self.order_by_keys(moves, keys)
+        return Engine.sort_moves(self, state, moves)
+
+    # -- compilation: play rules ----------------------------------------
+
+    def _compile_play(self, rule, mover: int):
         head = rule[0]
         if head == "if_even_turn":
-            branch = rule[1] if state.turn_number % 2 == 0 else rule[2]
-            return self._eval_play(branch, state, mover)
+            even = self._compile_play(rule[1], mover)
+            odd = self._compile_play(rule[2], mover)
+            return lambda state: (odd if state.turn_number % 2 else even)(state)
         if head == "byPiece":
-            moves = []
-            contents = state.contents
-            for v, pid in enumerate(contents):
-                if self._owner[pid] == mover:
-                    pdef = self.game.piece_defs[
-                        self.game.pieces.symbols[pid].rstrip("0123456789")
-                    ]
-                    if pdef.move_rule is not None:
-                        moves.extend(
-                            self._piece_moves(
-                                pdef.move_rule, pdef.replay, state, mover, v, pid
-                            )
-                        )
-            return moves
+            return self._compile_by_piece(mover)
         if head == "shoot":
-            return self._shoot(rule, state, mover)
+            return self._compile_shoot(rule, mover)
         if head == "place":
-            _, base, cond = rule
-            pid = self.game.piece_instance(base, mover)
-            return [
-                self._finish([("cell", v, pid)], False, mover)
-                for v in range(self.board.vertex_count)
-                if self._cond(cond, state, mover, v)
-            ]
+            return self._compile_place(rule, mover)
         if head == "drop":
-            return self._drop(rule, state, mover)
+            return self._compile_drop(rule, mover)
         if head == "custodialFlip":
-            return self._custodial(rule, state, mover)
+            return self._compile_custodial(rule, mover)
         raise ValueError(f"unknown play rule {head!r}")
 
-    def _finish(self, effects: list, replay: bool, mover: int) -> Move:
-        if not replay:
-            effects = effects + [("pass", self.next_player(mover))]
-        return Move(tuple(effects), replay)
+    def _writes(self, pid: int) -> tuple:
+        """The effect that writes pid, per vertex."""
+        return tuple(("cell", v, pid) for v in range(self.board.vertex_count))
 
-    def _piece_moves(self, rule, replay, state, mover, origin, pid) -> list[Move]:
-        head = rule[0]
-        if head == "or":
+    def _one_write(self, pid: int, mover: int):
+        """Effects and key, per vertex, of the move that writes pid there
+        and passes, plus the key of that move when the write is a no-op."""
+        nxt = self.next_player(mover)
+        pass_eff = ("pass", nxt)
+        effects = tuple((w, pass_eff) for w in self._writes(pid))
+        keys = self._keys.one_change(pid, nxt)
+        return effects, keys, self._keys.no_change(nxt)
+
+    def _compile_place(self, rule, mover: int):
+        _, base, cond = rule
+        pid = self.game.piece_instance(base, mover)
+        ok = self._accepts(cond, mover)
+        effects, keys, unchanged = self._one_write(pid, mover)
+
+        def place(state):
+            return [
+                Move(effects[v], False, None, unchanged if c == pid else keys[v])
+                for v, c in enumerate(state.contents)
+                if ok[c]
+            ]
+
+        return place
+
+    def _compile_drop(self, rule, mover: int):
+        _, base = rule
+        pid = self.game.piece_instance(base, mover)
+        board = self.board
+        # each column's cells from the bottom up; the drop lands on the
+        # lowest empty one, which pid (never empty) always changes
+        columns = tuple(
+            tuple(row * board.cols + col for row in range(board.rows - 1, -1, -1))
+            for col in range(board.cols)
+        )
+        effects, keys, _ = self._one_write(pid, mover)
+
+        def drop(state):
+            contents = state.contents
             out = []
-            for part in rule[1]:
-                out.extend(
-                    self._piece_moves(part, replay, state, mover, origin, pid)
-                )
-            # distinct sub-rules may propose the same move; drop repeats
-            seen, uniq = set(), []
-            for m in out:
-                if m.effects not in seen:
-                    seen.add(m.effects)
-                    uniq.append(m)
-            return uniq
-        moves = []
-        if head == "slide":
-            _, cond, dirs = rule
-            dir_idxs = (
-                self._all_dirs
-                if dirs is None
-                else tuple(self.board.direction_index(d) for d in dirs)
-            )
-            for d in dir_idxs:
-                table = self.board.neighbors[d]
-                v = table[origin]
-                while v >= 0 and self._cond(cond, state, mover, v):
-                    moves.append(
-                        self._finish(
-                            [("cell", origin, 0), ("cell", v, pid)], replay, mover
-                        )
-                    )
-                    v = table[v]
-        elif head == "step":
-            _, dirs, cond = rule
-            rel = _RELATIVE_DIRS[mover]
-            for name in dirs:
-                d = self.board.direction_index(rel.get(name, name))
-                v = self.board.neighbors[d][origin]
-                if v >= 0 and self._cond(cond, state, mover, v):
-                    moves.append(
-                        self._finish(
-                            [("cell", origin, 0), ("cell", v, pid)], replay, mover
-                        )
-                    )
-        else:
-            raise ValueError(f"unknown piece move rule {head!r}")
-        return moves
+            for column in columns:
+                for v in column:
+                    if contents[v] == 0:
+                        out.append(Move(effects[v], False, None, keys[v]))
+                        break
+            return out
 
-    def _shoot(self, rule, state, mover) -> list[Move]:
+        return drop
+
+    def _compile_shoot(self, rule, mover: int):
         _, cond, base, owner = rule
-        if state.last_to == NO_VERTEX:
-            raise ShootWithoutContext("shoot evaluated with no previous move")
         pdef = self.game.piece_defs[base]
         pid = self.game.piece_instance(base, 0 if pdef.ownership == "None" else owner)
-        moves = []
-        for d in self._all_dirs:
-            table = self.board.neighbors[d]
-            v = table[state.last_to]
-            while v >= 0 and self._cond(cond, state, mover, v):
-                moves.append(self._finish([("cell", v, pid)], False, mover))
-                v = table[v]
-        return moves
+        ok = self._accepts(cond, mover)
+        tables = self._dir_tables
+        effects, keys, unchanged = self._one_write(pid, mover)
 
-    def _drop(self, rule, state, mover) -> list[Move]:
-        _, base = rule
-        pid = self.game.piece_instance(base, mover)
-        board = self.board
-        contents = state.contents
-        moves = []
-        for col in range(board.cols):
-            # lowest empty cell of the column
-            for row in range(board.rows - 1, -1, -1):
-                v = row * board.cols + col
-                if contents[v] == 0:
-                    moves.append(self._finish([("cell", v, pid)], False, mover))
-                    break
-        return moves
+        def shoot(state):
+            origin = state.last_to
+            if origin == NO_VERTEX:
+                raise ShootWithoutContext("shoot evaluated with no previous move")
+            contents = state.contents
+            out = []
+            for table in tables:
+                v = table[origin]
+                while v >= 0 and ok[contents[v]]:
+                    key = unchanged if contents[v] == pid else keys[v]
+                    out.append(Move(effects[v], False, None, key))
+                    v = table[v]
+            return out
 
-    def _custodial(self, rule, state, mover) -> list[Move]:
-        _, base = rule
-        pid = self.game.piece_instance(base, mover)
-        board = self.board
-        contents = state.contents
+        return shoot
+
+    def _compile_by_piece(self, mover: int):
         owner = self._owner
-        moves = []
+        gens = []
+        for pid in range(len(self.piece_symbols)):
+            pdef = self.game.piece_defs.get(self._base_of.get(pid))
+            if owner[pid] != mover or pdef is None or pdef.move_rule is None:
+                gens.append(None)
+            else:
+                gens.append(self._compile_piece(pdef, mover, pid))
+        gens = tuple(gens)
+
+        def by_piece(state):
+            contents = state.contents
+            out = []
+            for v, pid in enumerate(contents):
+                gen = gens[pid]
+                if gen is not None:
+                    gen(contents, v, out)
+            return out
+
+        return by_piece
+
+    def _rays(self, rule, mover: int) -> list:
+        """(neighbour table, accepts, slides) per direction of a piece
+        rule, sub-rules of an ``or`` in order."""
+        head = rule[0]
+        board = self.board
+        if head == "or":
+            return [ray for part in rule[1] for ray in self._rays(part, mover)]
+        if head == "slide":
+            _, cond, dirs = rule
+            ok = self._accepts(cond, mover)
+            tables = (
+                self._dir_tables
+                if dirs is None
+                else tuple(board.neighbors[board.direction_index(d)] for d in dirs)
+            )
+            return [(table, ok, True) for table in tables]
+        if head == "step":
+            _, dirs, cond = rule
+            ok = self._accepts(cond, mover)
+            rel = _RELATIVE_DIRS[mover]
+            return [
+                (board.neighbors[board.direction_index(rel.get(d, d))], ok, False)
+                for d in dirs
+            ]
+        raise ValueError(f"unknown piece move rule {head!r}")
+
+    def _compile_piece(self, pdef, mover: int, pid: int):
+        """Closure appending the moves of the piece pid at an origin.
+
+        Each move empties the origin, which always changes it, and writes
+        pid at the destination, a no-op when pid is already there.
+        """
+        rays = self._rays(pdef.move_rule, mover)
+        replay = pdef.replay
+        nxt = mover if replay else self.next_player(mover)
+        tail = () if replay else (("pass", nxt),)
+        lift = self._writes(0)
+        put = self._writes(pid)
+        packer = self._keys
+        lift_rank = packer.ranks(0)
+        put_rank = packer.ranks(pid)
+        b = packer.base
+        b2 = b * b
+        b3 = b2 * b
+        one_tail = packer.sentinel * b2 + nxt * b
+        two_tail = packer.sentinel * b + nxt
+        # An "or" drops moves its sub-rules propose twice.  Rays in
+        # distinct directions from one origin never meet, so only a
+        # direction listed twice can propose a move twice.
+        repeats = pdef.move_rule[0] == "or" and len(
+            {id(table) for table, _, _ in rays}
+        ) < len(rays)
+
+        def piece(contents, origin, out):
+            a = lift_rank[origin]
+            source = lift[origin]
+            found = [] if repeats else out
+            for table, ok, slides in rays:
+                v = table[origin]
+                while v >= 0 and ok[contents[v]]:
+                    if contents[v] == pid:
+                        key = a * b3 + one_tail
+                    else:
+                        r = put_rank[v]
+                        key = (a * b + r if a < r else r * b + a) * b2 + two_tail
+                    found.append(Move((source, put[v]) + tail, replay, None, key))
+                    if not slides:
+                        break
+                    v = table[v]
+            if repeats:
+                seen = set()
+                for m in found:
+                    if m.effects not in seen:
+                        seen.add(m.effects)
+                        out.append(m)
+
+        return piece
+
+    def _compile_custodial(self, rule, mover: int):
+        _, base = rule
+        pid = self.game.piece_instance(base, mover)
+        owner = self._owner
+        tables = self._dir_tables
+        put = self._writes(pid)
+        pass_eff = ("pass", self.next_player(mover))
+        others = [
+            p for p in range(1, self.player_count + 1) if p != mover
+        ]
+
+        def custodial(state):
+            contents = state.contents
+            moves = []
+            for v, cell in enumerate(contents):
+                if cell != 0:
+                    continue
+                flips = []
+                for table in tables:
+                    run = []
+                    u = table[v]
+                    while u >= 0 and owner[contents[u]] not in (0, mover):
+                        run.append(u)
+                        u = table[u]
+                    if run and u >= 0 and owner[contents[u]] == mover:
+                        flips.extend(run)
+                if flips:
+                    effects = [put[u] for u in flips]
+                    effects.append(put[v])
+                    effects.append(pass_eff)
+                    moves.append(Move(tuple(effects)))
+            if not moves:
+                # pass, but only when some other player could still flip
+                for p in others:
+                    if self._can_flip(contents, p):
+                        return [Move((pass_eff,))]
+            return moves
+
+        return custodial
+
+    def _can_flip(self, contents, player: int) -> bool:
+        owner = self._owner
         for v, cell in enumerate(contents):
             if cell != 0:
                 continue
-            flips = []
-            for d in self._all_dirs:
-                table = board.neighbors[d]
-                run = []
-                u = table[v]
-                while u >= 0 and owner[contents[u]] not in (0, mover):
-                    run.append(u)
-                    u = table[u]
-                if run and u >= 0 and owner[contents[u]] == mover:
-                    flips.extend(run)
-            if flips:
-                effects = [("cell", u, pid) for u in flips]
-                effects.append(("cell", v, pid))
-                moves.append(self._finish(effects, False, mover))
-        if not moves:
-            # pass, but only when some other player could still flip
-            for p in range(1, self.player_count + 1):
-                if p != mover and self._custodial_exists(state, p):
-                    return [self._finish([], False, mover)]
-        return moves
-
-    def _custodial_exists(self, state: GameState, player: int) -> bool:
-        board = self.board
-        contents = state.contents
-        owner = self._owner
-        for v, cell in enumerate(contents):
-            if cell != 0:
-                continue
-            for d in self._all_dirs:
-                table = board.neighbors[d]
+            for table in self._dir_tables:
                 u = table[v]
                 seen_enemy = False
                 while u >= 0 and owner[contents[u]] not in (0, player):
@@ -283,24 +452,24 @@ class LudemicEngine(Engine):
                     return True
         return False
 
-    # -- conditions -----------------------------------------------------
-
-    def _cond(self, cond, state: GameState, mover: int, vertex: int) -> bool:
+    def _accepts(self, cond, mover: int) -> tuple:
+        """``accepts[piece id]``: does cond hold at a cell holding it."""
         head = cond[0]
+        owner = self._owner
         if head == "empty":
-            return state.contents[vertex] == 0
+            return tuple(pid == 0 for pid in range(len(owner)))
         if head == "enemy":
-            o = self._owner[state.contents[vertex]]
-            return o not in (0, mover)
+            return tuple(o not in (0, mover) for o in owner)
         if head == "friend":
-            return self._owner[state.contents[vertex]] == mover
+            return tuple(o == mover for o in owner)
         if head == "not":
-            return not self._cond(cond[1], state, mover, vertex)
+            return tuple(not ok for ok in self._accepts(cond[1], mover))
         if head == "or":
-            return any(self._cond(c, state, mover, vertex) for c in cond[1])
+            parts = [self._accepts(c, mover) for c in cond[1]]
+            return tuple(any(oks) for oks in zip(*parts))
         raise ValueError(f"unknown condition {head!r}")
 
-    # -- end rules ------------------------------------------------------
+    # -- compilation: end rules -----------------------------------------
 
     def _resolve_player(self, sel: str, mover: int) -> int:
         if sel == "mover":
@@ -309,80 +478,77 @@ class LudemicEngine(Engine):
             return self.next_player(mover)
         return (mover - 2) % self.player_count + 1  # prev
 
-    def _player_piece_ids(self, player: int) -> frozenset:
-        return frozenset(
-            pid for pid, o in enumerate(self._owner) if o == player
-        )
-
     def _evaluate_end(self, state: GameState, moves: list[Move]):
-        mover = state.mover
-        for cond, result in self.game.end_rules:
-            head = cond[0]
-            fired = False
-            if head == "stalemated":
-                fired = not moves
-            elif head == "line":
-                prev = self._resolve_player("next", mover)
-                fired = detect_line(
-                    self.board,
-                    state.contents,
-                    state.last_to,
-                    self._player_piece_ids(prev),
-                    cond[1],
-                )
-            elif head == "connected":
-                player = self._resolve_player(cond[1], mover)
-                sides = (
-                    ("top", "bottom") if player == 1 else ("left", "right")
-                )
-                fired = region_connected(
-                    self.board,
-                    state.contents,
-                    self._player_piece_ids(player),
-                    self.board.sides[sides[0]],
-                    self.board.sides[sides[1]],
-                )
-            elif head == "reached":
-                player = self._resolve_player(cond[1], mover)
-                goal = (
-                    self.board.sides["top"]
-                    if player == 1
-                    else self.board.sides["bottom"]
-                )
-                ids = self._player_piece_ids(player)
-                fired = any(state.contents[v] in ids for v in goal)
-            elif head == "boardFull":
-                fired = 0 not in state.contents
-            elif head == "noMovesAll":
-                fired = not moves and all(
-                    not self._generate(state, p)
-                    for p in range(1, self.player_count + 1)
-                    if p != mover
-                )
-            if fired:
-                return self._payoffs(result, state, mover)
+        for fired, payoffs in self._ends[state.mover]:
+            if fired(state, moves):
+                return payoffs(state)
         return None
 
-    def _payoffs(self, result, state: GameState, mover: int) -> dict:
+    def _compile_end(self, cond, mover: int):
+        """Predicate over (state, the mover's moves)."""
+        head = cond[0]
+        board = self.board
+        if head == "stalemated":
+            return lambda state, moves: not moves
+        if head == "line":
+            axes = _axis_tables(board)
+            ids = self._ids_of[self.next_player(mover)]
+            n = cond[1]
+            return lambda state, moves: _line_through(
+                axes, state.contents, state.last_to, ids, n
+            )
+        if head == "connected":
+            player = self._resolve_player(cond[1], mover)
+            ids = self._ids_of[player]
+            a, b = ("top", "bottom") if player == 1 else ("left", "right")
+            side_a, side_b = board.sides[a], board.sides[b]
+            return lambda state, moves: region_connected(
+                board, state.contents, ids, side_a, side_b
+            )
+        if head == "reached":
+            player = self._resolve_player(cond[1], mover)
+            ids = self._ids_of[player]
+            goal = tuple(board.sides["top" if player == 1 else "bottom"])
+            return lambda state, moves: any(state.contents[v] in ids for v in goal)
+        if head == "boardFull":
+            return lambda state, moves: 0 not in state.contents
+        if head == "noMovesAll":
+            others = [p for p in range(1, self.player_count + 1) if p != mover]
+            return lambda state, moves: not moves and all(
+                not self._generate(state, p) for p in others
+            )
+        raise ValueError(f"unknown end condition {head!r}")
+
+    def _compile_result(self, result, mover: int):
+        """Payoffs as a function of the terminal state."""
         players = range(1, self.player_count + 1)
         head = result[0]
-        if head == "draw":
-            return {p: 50 for p in players}
-        if head in ("win", "loss"):
-            who = self._resolve_player(result[1], mover)
-            top = head == "win"
-            return {
-                p: (100 if (p == who) == top else 0) for p in players
-            }
+        if head in ("draw", "win", "loss"):
+            if head == "draw":
+                fixed = {p: 50 for p in players}
+            else:
+                who = self._resolve_player(result[1], mover)
+                top = head == "win"
+                fixed = {p: (100 if (p == who) == top else 0) for p in players}
+            return lambda state: dict(fixed)
+        if head != "byCount":
+            raise ValueError(f"unknown result {head!r}")
         # byCount: majority of on-board pieces of the named kind
-        counts = {p: 0 for p in players}
-        for pid in state.contents:
-            o = self._owner[pid]
-            base = self.piece_symbols[pid].rstrip("0123456789")
-            if o and base == result[1]:
-                counts[o] += 1
-        best = max(counts.values())
-        winners = [p for p, c in counts.items() if c == best]
-        if len(winners) > 1:
-            return {p: 50 for p in players}
-        return {p: (100 if p == winners[0] else 0) for p in players}
+        counted = tuple(
+            o if o and self._base_of.get(pid) == result[1] else 0
+            for pid, o in enumerate(self._owner)
+        )
+
+        def by_count(state):
+            counts = {p: 0 for p in players}
+            for pid in state.contents:
+                o = counted[pid]
+                if o:
+                    counts[o] += 1
+            best = max(counts.values())
+            winners = [p for p, c in counts.items() if c == best]
+            if len(winners) > 1:
+                return {p: 50 for p in players}
+            return {p: (100 if p == winners[0] else 0) for p in players}
+
+        return by_count

@@ -67,3 +67,23 @@ def test_hex_board_adjacency():
 def test_degenerate_boards_rejected():
     with pytest.raises(ValueError):
         build_rectangle_board(0, 3)
+
+
+def test_files_past_z_continue_spreadsheet_style():
+    b = build_rectangle_board(1, 1200)
+    assert [b.encode_coord(v) for v in (0, 25, 26, 27, 51, 52, 701, 702)] == [
+        "a1", "z1", "aa1", "ab1", "az1", "ba1", "zz1", "aaa1"
+    ]
+    with pytest.raises(UnknownCoordinate):
+        b.decode_coord("ate1")  # the 1,201st file
+    with pytest.raises(UnknownCoordinate):
+        b.decode_coord("{1")
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 1200), (30, 30)])
+def test_coordinates_round_trip(rows, cols):
+    b = build_rectangle_board(rows, cols)
+    labels = [b.encode_coord(v) for v in range(b.vertex_count)]
+    assert len(set(labels)) == len(labels)
+    for v, label in enumerate(labels):
+        assert b.decode_coord(label) == v

@@ -36,6 +36,12 @@ BAD_DESCRIPTIONS = [
     ("piece-no-owner", TICTACTOE, "(disc Each)", "(disc)", ArityError, "(disc)"),
     ("then-empty", AMAZONS, "(then (replay))", "(then)", ArityError, "(then)"),
     ("line-zero", TICTACTOE, "(line 3)", "(line 0)", ArityError, "0"),
+    ("piece-name-ends-in-digit", TICTACTOE, "(disc Each)", "(disc2 Each)",
+     ArityError, "(disc2 Each)"),
+    ("placement-unknown-piece", REVERSI, '"Disc2" {28 35}', '"Ghost2" {28 35}',
+     UnknownPiece, '"Ghost2"'),
+    ("placement-unknown-player", REVERSI, '"Disc2" {28 35}', '"Disc3" {28 35}',
+     UnknownPiece, '"Disc3"'),
 ]
 
 
