@@ -44,6 +44,25 @@ class UnsupportedPlayerCount(LudemeError):
     pass
 
 
+class UnknownDirection(LudemeError):
+    pass
+
+
+# Player-relative step directions; player 1 moves up the board.
+RELATIVE_DIRECTIONS = {
+    1: {"forward": "up", "forwardLeft": "up_left", "forwardRight": "up_right"},
+    2: {"forward": "down", "forwardLeft": "down_right", "forwardRight": "down_left"},
+}
+
+# Line axes as (direction, opposite) pairs over the rectangle directions.
+LINE_AXES = (
+    ("up", "down"),
+    ("left", "right"),
+    ("up_left", "down_right"),
+    ("up_right", "down_left"),
+)
+
+
 @dataclass
 class PieceDef:
     name: str
@@ -135,12 +154,24 @@ def _selector(node) -> str:
     return sel
 
 
-def _direction_set(node: SSet) -> tuple:
-    return tuple(_atom_text(d, "direction") for d in node.children)
+def _direction_set(node: SSet, uses: list, relative: bool) -> tuple:
+    """The direction names of ``node``; each is recorded in ``uses`` with
+    the board directions it needs, for players 1 and 2 if ``relative``."""
+    names = []
+    for d in node.children:
+        name = _atom_text(d, "direction")
+        needs = (name,)
+        if relative:
+            needs = tuple(dict.fromkeys(
+                RELATIVE_DIRECTIONS[p].get(name, name) for p in (1, 2)
+            ))
+        uses.append((d, name, needs))
+        names.append(name)
+    return tuple(names)
 
 
-def _compile_move_rule(node) -> tuple[tuple, bool]:
-    """Returns (rule tree, replay flag)."""
+def _compile_move_rule(node, uses: list) -> tuple[tuple, bool]:
+    """Returns (rule tree, replay flag); direction names go to ``uses``."""
     node = _expect_list(node, "move rule")
     head = node.head
     args = list(node.children[1:])
@@ -158,23 +189,32 @@ def _compile_move_rule(node) -> tuple[tuple, bool]:
         cond = ("empty",)
         for a in args:
             if isinstance(a, SSet):
-                dirs = _direction_set(a)
+                dirs = _direction_set(a, uses, relative=False)
             else:
                 cond = _compile_condition(a)
         return ("slide", cond, dirs), replay
     if head == "step":
         if len(args) != 2 or not isinstance(args[0], SSet):
             raise ArityError("(step {dirs} <cond>) takes a set and a condition")
-        return ("step", _direction_set(args[0]), _compile_condition(args[1])), replay
+        dirs = _direction_set(args[0], uses, relative=True)
+        return ("step", dirs, _compile_condition(args[1])), replay
     if head == "or":
-        parts = [_compile_move_rule(a) for a in args]
+        parts = [_compile_move_rule(a, uses) for a in args]
         if any(r for _, r in parts):
             raise ArityError("(then (replay)) belongs on the whole rule")
         return ("or", tuple(p for p, _ in parts)), replay
     raise UnknownLudeme(head, node.line, node.col)
 
 
-def _compile_play(node) -> tuple:
+def _piece_name(node, uses: list) -> tuple[str, int]:
+    """(base, owner) of a piece name in a rule, recorded in ``uses``."""
+    base, owner = _split_instance(_atom_text(node, "piece name"))
+    uses.append((base, node))
+    return base, owner
+
+
+def _compile_play(node, uses: list) -> tuple:
+    """The play rule tree; the piece names it uses go to ``uses``."""
     node = _expect_list(node, "play rule")
     head = node.head
     args = node.children[1:]
@@ -186,7 +226,10 @@ def _compile_play(node) -> tuple:
             cond.children[1], "turn"
         ).head != "turn":
             raise UnknownLudeme(cond.head, cond.line, cond.col)
-        return ("if_even_turn", _compile_play(args[1]), _compile_play(args[2]))
+        return (
+            "if_even_turn", _compile_play(args[1], uses),
+            _compile_play(args[2], uses),
+        )
     if head == "byPiece":
         if args:
             raise ArityError("(byPiece) takes no arguments")
@@ -195,27 +238,28 @@ def _compile_play(node) -> tuple:
         if len(args) != 2:
             raise ArityError('(shoot <cond> "PieceN") takes two arguments')
         cond = _compile_condition(args[0])
-        base, owner = _split_instance(_atom_text(args[1], "piece name"))
+        base, owner = _piece_name(args[1], uses)
         return ("shoot", cond, base, owner)
     if head == "place":
         if len(args) != 2:
             raise ArityError('(place "Piece" <cond>) takes two arguments')
-        base, _ = _split_instance(_atom_text(args[0], "piece name"))
+        base, _ = _piece_name(args[0], uses)
         return ("place", base, _compile_condition(args[1]))
     if head == "drop":
         if len(args) != 1:
             raise ArityError('(drop "Piece") takes one argument')
-        base, _ = _split_instance(_atom_text(args[0], "piece name"))
+        base, _ = _piece_name(args[0], uses)
         return ("drop", base)
     if head == "custodialFlip":
         if len(args) != 1:
             raise ArityError('(custodialFlip "Piece") takes one argument')
-        base, _ = _split_instance(_atom_text(args[0], "piece name"))
+        base, _ = _piece_name(args[0], uses)
         return ("custodialFlip", base)
     raise UnknownLudeme(head, node.line, node.col)
 
 
-def _compile_end_condition(node) -> tuple:
+def _compile_end_condition(node, uses: list) -> tuple:
+    """The end condition tree; a line's axes go to ``uses``."""
     node = _expect_list(node, "end condition")
     head = node.head
     args = node.children[1:]
@@ -234,6 +278,7 @@ def _compile_end_condition(node) -> tuple:
         length = _int(args[0], "line length")
         if length < 1:
             raise ArityError(f"line length must be positive, got {length}", args[0])
+        uses.append((node, f"(line {length})", sum(LINE_AXES, ())))
         return ("line", length)
     if head == "boardFull":
         return ("boardFull",)
@@ -242,7 +287,8 @@ def _compile_end_condition(node) -> tuple:
     raise UnknownLudeme(head, node.line, node.col)
 
 
-def _compile_result(node) -> tuple:
+def _compile_result(node, uses: list) -> tuple:
+    """The result tree; a byCount piece name goes to ``uses``."""
     node = _expect_list(node, "result")
     head = node.head
     args = node.children[1:]
@@ -258,7 +304,7 @@ def _compile_result(node) -> tuple:
     if head == "byCount":
         if len(args) != 1:
             raise ArityError('(byCount "Piece") takes one piece name')
-        base, _ = _split_instance(_atom_text(args[0], "piece name"))
+        base, _ = _piece_name(args[0], uses)
         return ("byCount", base)
     raise UnknownLudeme(head, node.line, node.col)
 
@@ -286,6 +332,10 @@ def compile_ludemic(source) -> CompiledLudemicGame:
     start_section = None
     play_rule = None
     end_rules: list = []
+    # (node, name, board directions it needs) and (piece base, node),
+    # checked once the board and the pieces are known
+    direction_uses: list = []
+    piece_uses: list = []
 
     for section in sections:
         section = _expect_list(section, "game section")
@@ -349,7 +399,9 @@ def compile_ludemic(source) -> CompiledLudemicGame:
                         )
                     move_rule, replay = (None, False)
                     if len(item.children) > 2:
-                        move_rule, replay = _compile_move_rule(item.children[2])
+                        move_rule, replay = _compile_move_rule(
+                            item.children[2], direction_uses
+                        )
                     piece_defs[pname] = PieceDef(pname, ownership, move_rule, replay)
                     order.append(pname)
         elif head == "rules":
@@ -360,7 +412,7 @@ def compile_ludemic(source) -> CompiledLudemicGame:
                 elif rule.head == "play":
                     if play_rule is not None:
                         raise ArityError("exactly one play rule allowed")
-                    play_rule = _compile_play(rule.children[1])
+                    play_rule = _compile_play(rule.children[1], piece_uses)
                 elif rule.head == "end":
                     body = list(rule.children[1:])
                     # Either one bare (cond result) pair or explicit pairs.
@@ -370,20 +422,21 @@ def compile_ludemic(source) -> CompiledLudemicGame:
                     ):
                         if len(body) != 2:
                             raise ArityError("(end <cond> <result>)")
-                        end_rules.append(
-                            (_compile_end_condition(body[0]), _compile_result(body[1]))
-                        )
+                        end_rules.append((
+                            _compile_end_condition(body[0], direction_uses),
+                            _compile_result(body[1], piece_uses),
+                        ))
                     else:
                         for pair in body:
                             pair = _expect_list(pair, "end rule")
                             if len(pair.children) != 2:
                                 raise ArityError("end rules are (cond result) pairs")
-                            end_rules.append(
-                                (
-                                    _compile_end_condition(pair.children[0]),
-                                    _compile_result(pair.children[1]),
-                                )
-                            )
+                            end_rules.append((
+                                _compile_end_condition(
+                                    pair.children[0], direction_uses
+                                ),
+                                _compile_result(pair.children[1], piece_uses),
+                            ))
                 else:
                     raise UnknownLudeme(rule.head, rule.line, rule.col)
         else:
@@ -395,6 +448,19 @@ def compile_ludemic(source) -> CompiledLudemicGame:
         raise ArityError("game needs exactly one play rule")
     if not end_rules:
         raise ArityError("game needs at least one end rule")
+    for node, name, needs in direction_uses:
+        for direction in needs:
+            if direction not in board.directions:
+                raise UnknownDirection(
+                    f"unknown direction {name!r} on a {board_kind} board"
+                    if needs == (name,)
+                    else f"{name} needs direction {direction!r}, "
+                    f"which a {board_kind} board lacks",
+                    node,
+                )
+    for base, node in piece_uses:
+        if base not in piece_defs:
+            raise UnknownPiece(base, node)
 
     # Piece table: id 0 is empty; Each pieces get one id per player.
     symbols = ["empty"]
@@ -446,7 +512,7 @@ def compile_ludemic(source) -> CompiledLudemicGame:
                 seen_vertices.add(v)
             placements.append((instance_ids[key], vertices))
 
-    game = CompiledLudemicGame(
+    return CompiledLudemicGame(
         name=name,
         player_count=player_count,
         board=board,
@@ -458,23 +524,3 @@ def compile_ludemic(source) -> CompiledLudemicGame:
         play_rule=play_rule,
         end_rules=tuple(end_rules),
     )
-    _check_piece_references(game)
-    return game
-
-
-def _check_piece_references(game: CompiledLudemicGame):
-    def walk(rule):
-        head = rule[0]
-        if head in ("shoot",):
-            if rule[2] not in game.piece_defs:
-                raise UnknownPiece(rule[2])
-        elif head in ("place", "drop", "custodialFlip"):
-            if rule[1] not in game.piece_defs:
-                raise UnknownPiece(rule[1])
-        elif head == "if_even_turn":
-            walk(rule[1])
-            walk(rule[2])
-    walk(game.play_rule)
-    for _, result in game.end_rules:
-        if result[0] == "byCount" and result[1] not in game.piece_defs:
-            raise UnknownPiece(result[1])

@@ -22,33 +22,18 @@ from __future__ import annotations
 
 from ..core.model import GameState, IllegalMove, Move, NO_VERTEX, apply_effects
 from ..core.playout import Engine
-from .compile import CompiledLudemicGame
+from .compile import LINE_AXES, RELATIVE_DIRECTIONS, CompiledLudemicGame
 
 
 class ShootWithoutContext(RuntimeError):
     pass
 
 
-# Player-relative step directions; player 1 moves up the board.
-_RELATIVE_DIRS = {
-    1: {"forward": "up", "forwardLeft": "up_left", "forwardRight": "up_right"},
-    2: {"forward": "down", "forwardLeft": "down_right", "forwardRight": "down_left"},
-}
-
-# Line axes as (direction, opposite) pairs over the rectangle directions.
-_LINE_AXES = (
-    ("up", "down"),
-    ("left", "right"),
-    ("up_left", "down_right"),
-    ("up_right", "down_left"),
-)
-
-
 def _axis_tables(board) -> tuple:
     """Neighbour tables of each line axis, as (forward, backward) pairs."""
     return tuple(
         tuple(board.neighbors[board.direction_index(name)] for name in axis)
-        for axis in _LINE_AXES
+        for axis in LINE_AXES
     )
 
 
@@ -338,7 +323,7 @@ class LudemicEngine(Engine):
         if head == "step":
             _, dirs, cond = rule
             ok = self._accepts(cond, mover)
-            rel = _RELATIVE_DIRS[mover]
+            rel = RELATIVE_DIRECTIONS[mover]
             return [
                 (board.neighbors[board.direction_index(rel.get(d, d))], ok, False)
                 for d in dirs

@@ -1,25 +1,26 @@
 """Lowering of a rules automaton into an instruction program.
 
-Both rbg executors run a program built by this one lowering.  Every
-automaton node becomes one instruction: a node with exactly one action
-edge is that edge's instruction, a check-body node that only accepts is
-ACCEPT, and any other node is a FORK whose branches are its ACCEPT, its
-action edges and, for each epsilon edge, the target node's instruction.
-Control points (the node after a switch) are automaton node ids, and
-``entry`` maps each to its instruction, so they mean the same in both
-programs.  Each distinct lookahead sub-automaton is lowered once; every
-CHECK on it points at the same entry.
+Both rbg executors run a program built by this one worklist lowering.
+It starts from the control nodes (the node after a switch or keep) and
+lowers each node the program reaches once, numbered in the order it is
+reached; a check body is lowered from its start where a CHECK first
+meets it, and every CHECK on an equal body points at the same entry.  A
+node with exactly one action edge is that edge's instruction, a
+check-body node that only accepts is ACCEPT, and any other node is a
+FORK whose branches are its ACCEPT, its action edges and, for each
+epsilon edge, the target node's instruction.  Control points are
+automaton node ids, and ``entry`` maps each to its instruction, so they
+mean the same in both programs.
 
-The interpreter lowers the raw Thompson automaton and runs no pass, so
-it follows every epsilon edge at run time, and its ``entry`` maps every
-node.  The compiled executor lowers the automaton after epsilon
-elimination and runs one pass: every FORK or SHIFT that the program
-enters from outside its region (the FORK and SHIFT instructions
-reachable from it through FORK and SHIFT alone) becomes a JUMPS, whose
-table gives the exits that region reaches from each vertex.  Region
-interiors, and the nodes epsilon elimination leaves unreachable, are
-then dropped, so the compiled program holds only live instructions and
-its ``entry`` maps only control nodes.
+The interpreter lowers the raw Thompson automaton, so it follows every
+epsilon edge at run time.  The compiled executor lowers the automaton
+after epsilon elimination, and a node whose instruction would be a FORK
+or a SHIFT becomes a JUMPS where the program enters it.  The JUMPS
+stands for the node's region, the FORK and SHIFT steps reachable from
+it through FORK and SHIFT alone, which go into ``region`` under negative
+ids; its table gives the exits the region reaches from each vertex.
+Nothing the program cannot reach is lowered, so every instruction index
+is final when it is allocated and no pass renumbers the program.
 """
 
 from __future__ import annotations
@@ -62,22 +63,20 @@ _NAMES = {
 @dataclass
 class LoweredProgram:
     instrs: list
-    entry: dict  # nfa node id -> instruction index (main program)
+    entry: dict  # control node id -> instruction index (main program)
     bodies: dict  # id(check body Nfa) -> entry index of its sub-program
     shift_table: list  # shift_table[direction][vertex] -> vertex or OFF_BOARD
-    # The FORK and SHIFT instructions the JUMPS pass replaced, keyed and
-    # linked by their index before dead-instruction elimination, and that
-    # index -> index after it, for every live instruction.
+    # The FORK and SHIFT steps the JUMPS instructions stand for, under
+    # negative ids; their targets are region ids or instruction indices.
     region: dict = field(default_factory=dict)
-    live_index: dict = field(default_factory=dict)
     # one copy of each distinct exit-index or exit-vertex tuple
     interned: dict = field(default_factory=dict, repr=False)
 
     def jump_exits(self, start: int, vertex: int) -> tuple:
         """(exit indices, exit vertices) that FORK and SHIFT steps alone
-        reach from region instruction ``start`` at ``vertex``, in the
-        order the walker's depth-first preorder first reaches them."""
-        region, shift, live_index = self.region, self.shift_table, self.live_index
+        reach from region step ``start`` at ``vertex``, in the order the
+        walker's depth-first preorder first reaches them."""
+        region, shift = self.region, self.shift_table
         idxs: list = []
         verts: list = []
         seen = set()
@@ -88,11 +87,12 @@ class LoweredProgram:
                 continue
             seen.add(key)
             i, v = key
-            node = region.get(i)
-            if node is None:
-                idxs.append(live_index[i])
+            if i >= 0:
+                idxs.append(i)
                 verts.append(v)
-            elif node[0] == FORK:
+                continue
+            node = region[i]
+            if node[0] == FORK:
                 stack.extend((t, v) for t in reversed(node[1]))
             else:
                 nv = shift[node[1]][v]
@@ -104,87 +104,119 @@ class LoweredProgram:
 
 
 def region_exits(program: LoweredProgram, start: int) -> tuple[int, tuple]:
-    """(size, exits) of the region a JUMPS at region instruction ``start``
-    stands for: how many FORK/SHIFT instructions it replaced, and every
-    instruction it can exit to, in depth-first preorder."""
+    """(size, exits) of the region a JUMPS at region step ``start`` stands
+    for: how many FORK/SHIFT steps it holds, and every instruction it can
+    exit to, in depth-first preorder."""
     size, exits, stack, seen = 0, [], [start], set()
     while stack:
         i = stack.pop()
         if i in seen:
             continue
         seen.add(i)
-        node = program.region.get(i)
-        if node is None:
-            exits.append(program.live_index[i])
-        else:
-            size += 1
-            stack.extend(reversed(_targets(node)))
+        if i >= 0:
+            exits.append(i)
+            continue
+        node = program.region[i]
+        size += 1
+        stack.extend(reversed(node[1] if node[0] == FORK else node[2:]))
     return size, tuple(exits)
 
 
-def _targets(instr) -> tuple:
-    """The instruction indices ``instr`` can continue at."""
-    op = instr[0]
-    if op == FORK:
-        return instr[1]
-    if op == CHECK:
-        return instr[2], instr[4]
-    if op in (EMIT, ACCEPT):
-        return ()
-    return (instr[-1],)
-
-
-def _retarget(instr, new: dict) -> tuple:
-    """``instr`` with every instruction index mapped through ``new``; no
-    FORK or SHIFT is live once the jump-table pass has run."""
-    op = instr[0]
-    if op == CHECK:
-        return instr[:2] + (new[instr[2]], instr[3], new[instr[4]], instr[5])
-    if op in (EMIT, ACCEPT, JUMPS):
-        return instr
-    return instr[:-1] + (new[instr[-1]],)
-
-
 class _Lowerer:
-    def __init__(self):
+    """Lowers what the program reaches from its roots, each node once,
+    numbered in the order the lowering reaches it.  With ``jumps`` a
+    node whose instruction would be a FORK or a SHIFT becomes a JUMPS,
+    and its region's FORK and SHIFT steps go into ``region``."""
+
+    def __init__(self, jumps: bool):
+        self.jumps = jumps
         self.instrs: list = []
         self.bodies: dict[int, int] = {}  # id(sub Nfa) -> entry index
-        self.region: dict = {}  # index -> FORK/SHIFT a JUMPS stands for
+        self.region: dict = {}  # region id (< 0) -> FORK or SHIFT step
 
     def add(self, instr) -> int:
         self.instrs.append(instr)
         return len(self.instrs) - 1
 
-    def lower_nfa(self, nfa: Nfa, sub: bool) -> dict:
-        """Emit one instruction per node; returns node -> index."""
-        node_idx = {n: self.add(None) for n in range(nfa.node_count)}
-        for n, out in enumerate(nfa.edges):
-            accepts = sub and n in nfa.accepting
-            if len(out) == 1 and out[0][0][0] != "eps" and not accepts:
-                self.instrs[node_idx[n]] = self._edge(*out[0], node_idx)
-            elif accepts and not out:
-                self.instrs[node_idx[n]] = (ACCEPT,)
-            else:
-                branches = [self.add((ACCEPT,))] if accepts else []
-                for label, target in out:
-                    branches.append(
-                        node_idx[target] if label[0] == "eps"
-                        else self.add(self._edge(label, target, node_idx))
-                    )
-                self.instrs[node_idx[n]] = (FORK, tuple(branches))
-        return node_idx
+    def lower_nfa(self, nfa: Nfa, sub: bool, roots) -> dict:
+        """Lower the nodes reachable from ``roots``; returns root -> index."""
+        edges = nfa.edges
+        accepting = nfa.accepting if sub else ()
+        instrs, region, jumps = self.instrs, self.region, self.jumps
+        index = [-1] * len(edges)  # node -> its instruction
+        steps = [0] * len(edges)  # node -> its region step
+        todo: list = []  # n: node n's instruction; ~n: its region step
 
-    def _edge(self, label, target: int, node_idx: dict) -> tuple:
+        def at(n: int) -> int:
+            i = index[n]
+            if i < 0:
+                i = index[n] = len(instrs)
+                instrs.append(None)
+                todo.append(n)
+            return i
+
+        def moves_only(n: int) -> bool:
+            """Whether node n's instruction would be a FORK or a SHIFT."""
+            out = edges[n]
+            if n in accepting:
+                return bool(out)
+            return len(out) != 1 or out[0][0][0] in ("shift", "eps")
+
+        def step(n: int) -> int:
+            """The region step of node n, or n's instruction when n is
+            not a FORK or SHIFT (an exit of the region)."""
+            r = steps[n]
+            if not r:
+                if not moves_only(n):
+                    return at(n)
+                r = steps[n] = ~len(region)
+                region[r] = None
+                todo.append(~n)
+            return r
+
+        def fork(n: int, follow) -> tuple:
+            """Node n as a FORK: its ACCEPT, then per edge ``follow`` of
+            the target of an epsilon edge, a region step for a shift
+            inside a region, else a new instruction for the edge."""
+            branches = [self.add((ACCEPT,))] if n in accepting else []
+            for label, target in edges[n]:
+                if label[0] == "eps":
+                    branches.append(follow(target))
+                elif follow is step and label[0] == "shift":
+                    shifted = (SHIFT, label[1], step(target))
+                    branches.append(~len(region))
+                    region[branches[-1]] = shifted
+                else:
+                    branches.append(self.add(self._edge(label, target, at)))
+            return (FORK, tuple(branches))
+
+        entry = {n: at(n) for n in roots}
+        while todo:
+            n = todo.pop()
+            if n < 0:
+                n = ~n
+                out = edges[n]
+                if len(out) == 1 and out[0][0][0] == "shift" and (
+                        n not in accepting):
+                    region[steps[n]] = (SHIFT, out[0][0][1], step(out[0][1]))
+                else:
+                    region[steps[n]] = fork(n, step)
+                continue
+            out = edges[n]
+            accepts = n in accepting
+            if jumps and moves_only(n):
+                instr = (JUMPS, {}, step(n))
+            elif len(out) == 1 and not accepts and out[0][0][0] != "eps":
+                instr = self._edge(*out[0], at)
+            elif accepts and not out:
+                instr = (ACCEPT,)
+            else:
+                instr = fork(n, at)
+            instrs[index[n]] = instr
+        return entry
+
+    def _edge(self, label, target: int, at) -> tuple:
         kind = label[0]
-        nxt = node_idx[target]
-        if kind == "shift":
-            return (SHIFT, label[1], nxt)
-        if kind == "on":
-            return (ON, label[1], nxt)
-        if kind == "set":
-            return (SET, label[1], nxt)
-        if kind == "assign":
-            return (ASSIGN, label[1], nxt)
         if kind == "switch":
             return (EMIT, label[1], target)
         if kind == "keep":
@@ -193,84 +225,39 @@ class _Lowerer:
             sub = label[2]
             entry = self.bodies.get(id(sub))
             if entry is None:
-                entry = self.lower_nfa(sub, sub=True)[sub.start]
+                entry = self.lower_nfa(sub, True, (sub.start,))[sub.start]
                 self.bodies[id(sub)] = entry
-            return (CHECK, label[1], entry, label[3], nxt, sub)
+            return (CHECK, label[1], entry, label[3], at(target), sub)
+        nxt = at(target)
+        if kind == "shift":
+            return (SHIFT, label[1], nxt)
+        if kind == "on":
+            return (ON, label[1], nxt)
+        if kind == "set":
+            return (SET, label[1], nxt)
+        if kind == "assign":
+            return (ASSIGN, label[1], nxt)
         raise ValueError(f"unexpected label {label!r}")
-
-    # -- compiled-executor pass ------------------------------------------
-
-    def _jump_tables(self, roots) -> set:
-        """Turn every FORK and SHIFT that the program enters from outside
-        its region into a JUMPS over that region: the FORK and SHIFT
-        instructions reachable from it through FORK and SHIFT alone.  Such
-        steps test and write nothing, so from one vertex a region always
-        reaches the same (exit, vertex) pairs, and JUMPS looks them up
-        instead of stepping through the region.  Returns the instructions
-        reachable from ``roots`` afterwards; region interiors are not."""
-        instrs, region = self.instrs, self.region
-        live: set = set()
-        stack = list(roots)
-        while stack:
-            i = stack.pop()
-            if i in live:
-                continue
-            live.add(i)
-            if instrs[i][0] not in (FORK, SHIFT):
-                stack.extend(_targets(instrs[i]))
-                continue
-            inner = [i]
-            while inner:
-                j = inner.pop()
-                if j in region:  # already stepped through
-                    continue
-                node = instrs[j]
-                if node[0] in (FORK, SHIFT):
-                    region[j] = node
-                    inner.extend(_targets(node))
-                else:
-                    stack.append(j)  # an exit, which the program runs
-            instrs[i] = (JUMPS, {}, i)
-        return live
-
-    def _drop_dead(self, live: set) -> dict:
-        """Keep only the ``live`` instructions, renumbered in their old
-        order; returns old index -> new index."""
-        new = {old: k for k, old in enumerate(sorted(live))}
-        self.instrs = [_retarget(self.instrs[old], new) for old in sorted(live)]
-        self.bodies = {key: new[i] for key, i in self.bodies.items()}
-        return new
 
 
 def lower(nfa: Nfa, board, optimize: bool) -> LoweredProgram:
-    """Lower an automaton into an instruction program.  With ``optimize``
-    (the compiled executor) epsilon edges are eliminated first, then the
-    jump-table pass runs and dead instructions are dropped, so ``entry``
-    maps only control nodes (switch targets); without it (the
-    interpreter) the automaton is lowered as it is."""
+    """Lower what an automaton's control nodes (switch and keep targets)
+    reach into an instruction program whose ``entry`` maps those nodes.
+    With ``optimize`` (the compiled executor) epsilon edges are
+    eliminated first and FORK/SHIFT regions become jump tables; without
+    it (the interpreter) the automaton is lowered as it is."""
     if optimize:
         nfa = eliminate_epsilon(nfa)
-    low = _Lowerer()
-    entry = low.lower_nfa(nfa, sub=False)
-    if not optimize:
-        return LoweredProgram(low.instrs, entry, low.bodies, board.neighbors)
-    controls = {
+    controls = sorted({
         target
         for out in nfa.edges
         for label, target in out
         if label[0] in ("switch", "keep")
-    }
-    entry = {n: entry[n] for n in sorted(controls)}
-    new = low._drop_dead(
-        low._jump_tables([*entry.values(), *low.bodies.values()])
-    )
+    })
+    low = _Lowerer(optimize)
+    entry = low.lower_nfa(nfa, False, controls)
     return LoweredProgram(
-        low.instrs,
-        {n: new[i] for n, i in entry.items()},
-        low.bodies,
-        board.neighbors,
-        low.region,
-        new,
+        low.instrs, entry, low.bodies, board.neighbors, low.region
     )
 
 

@@ -1,9 +1,10 @@
 """Game compilation and the executor for the regex dialect.
 
 Both executors run one instruction walker over a program built by
-``compiler.lower``; they differ only in the lowering passes (see
-``compiler``).  Legal-move search is one explicit-stack depth-first
-loop over configurations (instruction, walker vertex, effect id), which
+``compiler.lower``; they differ only in whether that lowering first
+eliminates epsilon edges and builds jump tables (see ``compiler``).
+Legal-move search is one explicit-stack depth-first loop over
+configurations (instruction, walker vertex, effect id), which
 both guards against pure loops and merges duplicate action paths; each
 distinct effect sequence gets an interned id within the call, so a
 configuration key costs O(1) however long the sequence, and no rule
@@ -13,7 +14,7 @@ the emitted effect sequence, and its control point is the automaton node
 after the switch, taken from the first path the walk's preorder reaches
 it by.  A cap on the effect sequence stops runaway rules.
 In the compiled program a JUMPS instruction stands for a whole region
-of FORK and SHIFT instructions: it looks up the region's exits from the
+of FORK and SHIFT steps: it looks up the region's exits from the
 current vertex (built on first use, in the order stepping through the
 region would reach them) and tests an exit that is an ON in place, so
 movement such as ``anySquare`` costs one walker step.
@@ -237,8 +238,8 @@ class RunawaySearch(RuntimeError):
 class RbgEngineBase(Engine):
     """The rbg executor: a walk over a lowered instruction program.
 
-    The two subclasses differ only in which lowering passes build the
-    program (``_optimize``).
+    The two subclasses differ only in ``_optimize``: whether the lowering
+    eliminates epsilon edges and builds jump tables.
     """
 
     mode = "rbg"
@@ -487,8 +488,8 @@ class RbgEngineBase(Engine):
 
 
 class RbgInterpreterEngine(RbgEngineBase):
-    """Runs the raw Thompson automaton, lowered with no pass: every
-    epsilon edge is a fork branch followed at run time."""
+    """Runs the raw Thompson automaton, lowered as it is: every epsilon
+    edge is a fork branch followed at run time."""
 
     mode = "rbg-interp"
     _optimize = False
@@ -496,8 +497,8 @@ class RbgInterpreterEngine(RbgEngineBase):
 
 class RbgCompiledEngine(RbgEngineBase):
     """Runs the automaton lowered after epsilon elimination with jump
-    tables for its FORK/SHIFT regions and dead instructions dropped;
-    contract-identical to the interpreter (same sorted move lists)."""
+    tables for its FORK/SHIFT regions; contract-identical to the
+    interpreter (same sorted move lists)."""
 
     mode = "rbg-compiled"
     _optimize = True

@@ -1,5 +1,8 @@
 """Thompson construction and epsilon elimination for rule patterns.
 
+Elimination keeps node ids, so a control point means the same node in
+both automata, and it gives edges only to the nodes the start reaches.
+
 Edge labels are small tuples:
   ("eps",)
   ("shift", direction_index)
@@ -26,7 +29,8 @@ class Nfa:
     start: int
     accept: int
     # Nodes from which the accept node is epsilon-reachable; filled by
-    # eliminate_epsilon (before that, only the accept node itself).
+    # eliminate_epsilon for the nodes the start reaches (before that,
+    # only the accept node itself).
     accepting: frozenset = frozenset()
 
     @property
@@ -132,12 +136,12 @@ def eliminate_epsilon(nfa: Nfa) -> Nfa:
     """Equivalent automaton with no epsilon edges (same node ids).
 
     A node's new edges are the action edges of its epsilon closure, in
-    the closure's iteration order; each closure is computed once, and
-    only for the nodes that need edges, so most unreachable nodes keep
-    none (see ``_eliminate``).  Lookahead sub-automata are eliminated
-    recursively, each shared sub-automaton once, so sharing survives.
-    Acceptance becomes a node set: every such node whose closure
-    contained the accept node.
+    the closure's iteration order.  Only the nodes reachable from the
+    start get edges, each from its closure computed once; the others
+    keep none.  Lookahead sub-automata are eliminated recursively, each
+    shared sub-automaton once, so sharing survives.  Acceptance becomes
+    a node set: every reachable node whose closure holds the accept
+    node.
     """
     done: dict[int, Nfa] = {}  # id(sub) -> its eliminated form
 
@@ -153,31 +157,11 @@ def eliminate_epsilon(nfa: Nfa) -> Nfa:
 
 
 def _eliminate(nfa: Nfa, convert) -> Nfa:
-    # Only the nodes that need edges get them, each from its closure
-    # computed once: the nodes the new edges reach from the start, and
-    # the nodes whose closure holds a check edge.  The latter can be
-    # unreachable, but lowering numbers a check body's instructions where
-    # it first meets the body in node order, so their edges keep the
-    # lowered numbering as it was.  Every other node keeps no edge.
     edges = nfa.edges
-    back: list[list] = [[] for _ in edges]  # epsilon edges reversed
     queued = {nfa.start}
-    stack = []
-    for n, out in enumerate(edges):
-        for label, target in out:
-            if label == EPS:
-                back[target].append(n)
-            elif label[0] == "check" and n not in queued:
-                queued.add(n)
-                stack.append(n)
-    while stack:
-        for m in back[stack.pop()]:
-            if m not in queued:
-                queued.add(m)
-                stack.append(m)
     new_edges: list[list] = [[] for _ in edges]
     accepting = []
-    stack = list(queued)
+    stack = [nfa.start]
     while stack:
         n = stack.pop()
         closure = _eps_closure(nfa, n)

@@ -8,6 +8,7 @@ from ggs.ludeme.compile import (
     LudemeError,
     OverlappingPlacement,
     PlacementOutOfRange,
+    UnknownDirection,
     UnknownLudeme,
     UnknownPiece,
     UnsupportedPlayerCount,
@@ -15,6 +16,7 @@ from ggs.ludeme.compile import (
 )
 
 AMAZONS = library.load_description("amazons", "ludemic")
+HEX = library.load_description("hex", "ludemic")
 REVERSI = library.load_description("reversi", "ludemic")
 TICTACTOE = library.load_description("tictactoe", "ludemic")
 
@@ -42,6 +44,17 @@ BAD_DESCRIPTIONS = [
      UnknownPiece, '"Ghost2"'),
     ("placement-unknown-player", REVERSI, '"Disc2" {28 35}', '"Disc3" {28 35}',
      UnknownPiece, '"Disc3"'),
+    ("play-unknown-piece", HEX, '(place "Stone"', '(place "Ghost"', UnknownPiece,
+     '"Ghost"'),
+    ("bycount-unknown-piece", REVERSI, "(result (next) Win)", '(byCount "Ghost")',
+     UnknownPiece, '"Ghost"'),
+    ("slide-relative-direction", AMAZONS, "(slide (in (to) (empty))",
+     "(slide {forward} (in (to) (empty))", UnknownDirection, "forward"),
+    ("step-forward-left-on-hex", HEX, "(stone Each)",
+     "(stone Each (step {forwardLeft} (in (to) (empty))))", UnknownDirection,
+     "forwardLeft"),
+    ("line-on-hex", HEX, "(connected (next))", "(line 4)", UnknownDirection,
+     "(line 4)"),
 ]
 
 

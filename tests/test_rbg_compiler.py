@@ -18,8 +18,8 @@ from ggs.rbg.compiler import (
     JUMPS,
     SHIFT,
     LoweredProgram,
-    _Lowerer,
     dump_ir,
+    lower,
     region_exits,
 )
 from ggs.rbg.engine import RbgCompiledEngine, RbgGame, RbgInterpreterEngine
@@ -54,19 +54,19 @@ def test_dump_ir_is_byte_stable():
 # entry-map item, sorted by node: the whole program as numbered.
 LOWERED_GOLDEN = {
     "Amazons":
-        "e962c4473951edbed6638e3d523c7d081f619cea5cf2d8257dc70fef7ae37cde",
+        "5bc5128e4fb5e4049382abbde821c652e86ea60bff89de571c9a6c28a0fd18f9",
     "Breakthrough":
-        "c9b00deb55d39ead06e86250590fe2e6798ed1a1c6edc2434d052f4d596eebdb",
+        "04526fcaa17151c4b3e645d070787a50fc65119d349fa1ffa66861e585fd1a80",
     "Connect-4":
-        "61df5ad6a7f064a07ec2961b0a1ba3838fc3dd0c7f2f0606c3eab2d68f7263f9",
+        "3fc0042330d9817953f3d9b4d7a641e63f5a4b17ae2488b612982b485de9c9a4",
     "Gomoku":
-        "6602891fd529a1bf90e35853f1ead924fc99c687863f7aa3afd182efa95fe27d",
+        "c8961239f4ad55aff32ca6b6887c6c894135b6ceb065e568ae46884f0d626200",
     "Hex":
-        "790362ada175b84c4ec1b5b3e1f3433954cd0e4f36789f8193ec2e9bafc2a9aa",
+        "03a84c1ccd65e84e5b42f12cb4878021c7764956c39028cb5c1895bb4991630a",
     "Reversi":
-        "7c7a497e3e5b1c6de9bd173a2016f08b284ca90eed03bb510b4770dcf666f939",
+        "7d59514e7c9df4a445a64316723d7a62180aa0a25de1c8fcd2fa14647d42be96",
     "Tic-Tac-Toe":
-        "552b4318540e2b4d4da77a479879f224c92ed389cdc3749043e0135d60b42156",
+        "e2b361b1e26b4a7ed6b056934a21edd00e2a39839d8a388e14f4d1a9f8432516",
 }
 
 
@@ -233,6 +233,34 @@ def test_control_points_are_shared():
     assert by_delta_i == by_delta_c
 
 
+@pytest.mark.parametrize("name", [entry.name for entry in library.list_games()])
+def test_entry_maps_every_control_point_a_walk_meets(name):
+    # both entry maps hold only control nodes (switch and keep targets),
+    # so every control a state or a move carries must be one of them
+    game = RbgGame.from_text(library.load_description(name, "rbg"))
+    controls = {
+        target
+        for out in game.nfa.edges
+        for label, target in out
+        if label[0] in ("switch", "keep")
+    }
+    for engine in (RbgInterpreterEngine(game), RbgCompiledEngine(game)):
+        entry = engine.program.entry
+        assert set(entry) <= controls
+        assert engine.initial_state().control in entry
+        for seed in (0, 1):
+            rng = random.Random(seed)
+            state = engine.initial_state()
+            for _ in range(400):
+                moves = engine.semimoves(state)
+                assert all(m.control[0] in entry for m in moves), (
+                    engine.mode, seed
+                )
+                if not moves:
+                    break
+                state = engine.apply(state, rng.choice(moves))
+
+
 def test_equal_check_bodies_share_one_subprogram():
     # {! anyLine3(opp)}, {? line3(me)} and {! line3(me)} for each player:
     # the line3 pair shares one automaton and one lowered entry
@@ -270,48 +298,49 @@ def test_playout_equivalence_on_library_games():
 
 
 def pre_pass_program(game) -> LoweredProgram:
-    """The compiled program as the lowering builds it before the
-    jump-table pass: every FORK and SHIFT still stepped one at a time."""
-    nfa = eliminate_epsilon(game.nfa)
-    low = _Lowerer()
-    entry = low.lower_nfa(nfa, sub=False)
-    return LoweredProgram(low.instrs, entry, low.bodies, game.board.neighbors)
+    """The compiled program as the lowering builds it with jump tables
+    off: the epsilon-free automaton, every FORK and SHIFT stepped one at
+    a time."""
+    return lower(eliminate_epsilon(game.nfa), game.board, optimize=False)
 
 
-def region_walk(instrs, shift, i, vertex, seen, out):
-    """Append to ``out`` the (exit, vertex) pairs FORK and SHIFT steps
-    alone reach from ``i``, in depth-first preorder."""
+def region_walk(region, shift, i, vertex, seen, out):
+    """Append to ``out`` the (exit, vertex) pairs the FORK and SHIFT
+    steps of ``region`` alone reach from ``i``, in depth-first preorder."""
     if (i, vertex) in seen:
         return
     seen.add((i, vertex))
-    instr = instrs[i]
-    if instr[0] == FORK:
-        for t in instr[1]:
-            region_walk(instrs, shift, t, vertex, seen, out)
-    elif instr[0] == SHIFT:
-        nv = shift[instr[1]][vertex]
-        if nv >= 0:
-            region_walk(instrs, shift, instr[2], nv, seen, out)
-    else:
+    node = region.get(i)
+    if node is None:
         out.append((i, vertex))
+    elif node[0] == FORK:
+        for t in node[1]:
+            region_walk(region, shift, t, vertex, seen, out)
+    else:
+        nv = shift[node[1]][vertex]
+        if nv >= 0:
+            region_walk(region, shift, node[2], nv, seen, out)
 
 
 def assert_tables_match_regions(game, program):
     """Every JUMPS table, expanded at every vertex (and as far as the
-    walker filled it), lists the exits of the pre-pass region walk."""
-    before = pre_pass_program(game)
-    old_index = {new: old for old, new in program.live_index.items()}
-    for instr in program.instrs:
+    walker filled it), lists the exits of a recursive walk of its region,
+    and every exit is an instruction the program runs."""
+    instrs, region = program.instrs, program.region
+    for instr in instrs:
         if instr[0] != JUMPS:
             continue
-        assert before.instrs[instr[2]][0] in (FORK, SHIFT)
+        assert region[instr[2]][0] in (FORK, SHIFT)
         for vertex in range(game.board.vertex_count):
             expected: list = []
             region_walk(
-                before.instrs, before.shift_table, instr[2], vertex, set(), expected
+                region, program.shift_table, instr[2], vertex, set(), expected
             )
+            for t, _ in expected:
+                assert 0 <= t < len(instrs)
+                assert instrs[t][0] not in (FORK, SHIFT, JUMPS)
             exits = program.jump_exits(instr[2], vertex)
-            assert [(old_index[t], v) for t, v in zip(*exits)] == expected
+            assert list(zip(*exits)) == expected
             assert instr[1].get(vertex, exits) == exits
 
 
