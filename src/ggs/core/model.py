@@ -50,7 +50,6 @@ class GameState:
     control: object = None  # front-end-owned control point
     last_to: int = NO_VERTEX
     current_vertex: int = 0
-    terminal: bool = False
 
     def clone(self) -> "GameState":
         return GameState(
@@ -61,7 +60,6 @@ class GameState:
             self.control,
             self.last_to,
             self.current_vertex,
-            self.terminal,
         )
 
     def key(self) -> tuple:

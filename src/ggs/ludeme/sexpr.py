@@ -2,12 +2,17 @@
 
 `(...)` are lists, `{...}` are sets (allowed only where a ludeme takes a
 set parameter), atoms are whitespace-separated, double-quoted strings
-carry no escapes, and `//` starts a line comment.
+carry no escapes, and `//` starts a line comment.  Lists and sets nest
+at most ``MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+# The library nests under 10 deep; the compiler's recursive passes would
+# exhaust Python's stack from about 250.
+MAX_NESTING = 100
 
 
 class Unbalanced(ValueError):
@@ -19,6 +24,11 @@ class Unbalanced(ValueError):
 
 class UnterminatedString(ValueError):
     pass
+
+
+class NestingTooDeep(ValueError):
+    def __init__(self, line: int, col: int):
+        super().__init__(f"expression at {line}:{col} nests deeper than {MAX_NESTING}")
 
 
 @dataclass(frozen=True)
@@ -101,6 +111,8 @@ def parse_all(text: str) -> list:
     top: list = []
     for kind, tok, line, col in _tokens(text):
         if kind in "({":
+            if len(stack) == MAX_NESTING:
+                raise NestingTooDeep(line, col)
             stack.append((kind, line, col, []))
         elif kind in ")}":
             if not stack:

@@ -4,6 +4,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Deepest pattern nesting the front end accepts: parenthesized groups,
+# checks, macro arguments and stacked stars in the parser, every
+# structural level after macro expansion.  The library stays under 20;
+# the recursive passes would exhaust Python's stack from about 250.
+MAX_NESTING = 100
+
 
 class Pattern:
     __slots__ = ()
@@ -44,11 +50,6 @@ class Call(Pattern):
 
 
 @dataclass(frozen=True)
-class Shift(Pattern):
-    direction: int
-
-
-@dataclass(frozen=True)
 class On(Pattern):
     names: tuple  # piece symbol names (resolved to a frozenset of ids later)
 
@@ -83,31 +84,3 @@ class RbgGameDef:
     board_rows: tuple  # tuple of tuples of piece symbol names
     macros: dict  # name -> (params tuple, Pattern)
     rules: Pattern
-
-
-def contains_switch(pat: Pattern) -> bool:
-    if isinstance(pat, (SwitchTo, SwitchKeep)):
-        return True
-    if isinstance(pat, (Concat, Alt)):
-        return any(contains_switch(p) for p in pat.parts)
-    if isinstance(pat, Star):
-        return contains_switch(pat.child)
-    if isinstance(pat, Check):
-        return contains_switch(pat.child)
-    if isinstance(pat, Call):
-        return any(contains_switch(a) for a in pat.args)
-    return False
-
-
-def contains_mutation(pat: Pattern) -> bool:
-    if isinstance(pat, (SetHere, AssignVars)):
-        return True
-    if isinstance(pat, (Concat, Alt)):
-        return any(contains_mutation(p) for p in pat.parts)
-    if isinstance(pat, Star):
-        return contains_mutation(pat.child)
-    if isinstance(pat, Check):
-        return contains_mutation(pat.child)
-    if isinstance(pat, Call):
-        return any(contains_mutation(a) for a in pat.args)
-    return False

@@ -60,7 +60,7 @@ from .compiler import (
     SET,
     SHIFT,
 )
-from .expand import RbgValidationError, expand_macros, validate
+from .expand import RbgValidationError, UnknownMacro, expand_macros
 from .nfa import Nfa, build_nfa
 from .parser import parse_rbg
 
@@ -70,20 +70,36 @@ class RulesMustOpenWithSwitch(RbgValidationError):
 
 
 class _ResolveContext:
-    def __init__(self, game: "RbgGame"):
-        self.game = game
+    """What each name in the rules means, checked as ``build_nfa``
+    resolves it."""
+
+    def __init__(self, directions, pieces: PieceTable, players, bounds: dict):
+        self.directions = directions
+        self.pieces = pieces
+        self.players = players
+        self.bounds = bounds
 
     def direction_index(self, name: str) -> int:
-        try:
-            return self.game.board.directions.index(name)
-        except ValueError:
-            raise RbgValidationError(f"unknown direction {name!r}") from None
+        if name not in self.directions:
+            raise UnknownMacro(name)  # a bare name is a direction or a macro
+        return self.directions.index(name)
 
     def piece_id(self, name: str) -> int:
-        return self.game.pieces.id_of(name)
+        if name not in self.pieces.symbols:
+            raise RbgValidationError(f"unknown piece {name!r}")
+        return self.pieces.id_of(name)
 
     def player_index(self, name: str) -> int:
-        return self.game.player_names.index(name) + 1
+        if name not in self.players:
+            raise RbgValidationError(f"unknown player {name!r}")
+        return self.players.index(name) + 1
+
+    def variable(self, name: str, value: int) -> None:
+        bound = self.bounds.get(name)
+        if bound is None:
+            raise RbgValidationError(f"unknown variable {name!r}")
+        if value > bound:
+            raise RbgValidationError(f"assignment {name}={value} exceeds bound {bound}")
 
 
 @dataclass
@@ -123,28 +139,21 @@ class RbgGame:
             raise RbgValidationError(
                 f"unsupported board generator {gamedef.board_generator!r}"
             )
-        validate(gamedef, board.directions)
         symbols = gamedef.piece_symbols
         if "e" not in symbols:
             raise RbgValidationError("piece list must include the empty symbol e")
         pieces = PieceTable(
             symbols, symbols.index("e"), tuple(NEUTRAL for _ in symbols)
         )
-        game = cls(
-            gamedef=gamedef,
-            board=board,
-            pieces=pieces,
-            player_names=tuple(name for name, _ in gamedef.players),
-            nfa=None,  # filled below
-            init_assigns=(),
-            init_mover=0,
-            init_control=0,
-        )
-        game.nfa = build_nfa(gamedef.rules, _ResolveContext(game))
-        game.init_assigns, game.init_mover, game.init_control = _leading_switch(
-            game.nfa
-        )
-        return game
+        bad = {sym for row in gamedef.board_rows for sym in row} - set(symbols)
+        if bad:
+            raise RbgValidationError(f"board literal uses unknown pieces {sorted(bad)}")
+        player_names = tuple(name for name, _ in gamedef.players)
+        nfa = build_nfa(gamedef.rules, _ResolveContext(
+            board.directions, pieces, player_names,
+            dict(gamedef.players) | dict(gamedef.extra_variables),
+        ))
+        return cls(gamedef, board, pieces, player_names, nfa, *_leading_switch(nfa))
 
     def initial_state(self) -> GameState:
         contents = [

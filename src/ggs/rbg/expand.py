@@ -1,12 +1,14 @@
-"""Macro expansion and name resolution for the regex game dialect."""
+"""Macro expansion for the regex game dialect.
+
+Names left after expansion (directions, pieces, players, variables) are
+resolved and checked where ``nfa.build_nfa`` meets them.
+"""
 
 from __future__ import annotations
 
 from dataclasses import replace
 
 from . import ast
-
-MAX_DEPTH = 64
 
 
 class UnknownMacro(ValueError):
@@ -39,11 +41,17 @@ def _subst_atom(name: str, env: dict) -> str:
 
 
 def _expand(pat: ast.Pattern, macros: dict, env: dict, depth: int) -> ast.Pattern:
-    if depth > MAX_DEPTH:
-        raise RecursionDetected("macro expansion exceeded depth 64")
+    """``pat`` with macros substituted; ``depth`` counts every structural
+    level and macro call above it, so runaway recursion and over-deep
+    nesting both stop at ``ast.MAX_NESTING``."""
+    if depth > ast.MAX_NESTING:
+        raise RecursionDetected(
+            f"patterns nest deeper than {ast.MAX_NESTING} after macro expansion"
+        )
     if isinstance(pat, ast.Name):
         if pat.name in env:
-            return env[pat.name]
+            # an expanded argument, walked again where it lands
+            return _expand(env[pat.name], macros, {}, depth)
         if pat.name in macros:
             params, body = macros[pat.name]
             if params:
@@ -62,6 +70,7 @@ def _expand(pat: ast.Pattern, macros: dict, env: dict, depth: int) -> ast.Patter
             )
         args = tuple(_expand(a, macros, env, depth + 1) for a in pat.args)
         return _expand(body, macros, dict(zip(params, args)), depth + 1)
+    depth += 1
     if isinstance(pat, ast.Concat):
         return ast.Concat(tuple(_expand(p, macros, env, depth) for p in pat.parts))
     if isinstance(pat, ast.Alt):
@@ -87,53 +96,3 @@ def expand_macros(game: ast.RbgGameDef) -> ast.RbgGameDef:
     """Substitute all macro calls in the rules to a fixpoint."""
     rules = _expand(game.rules, game.macros, {}, 0)
     return replace(game, rules=rules, macros={})
-
-
-def validate(game: ast.RbgGameDef, direction_names: tuple) -> None:
-    """Symbol and bound checks over a macro-free rules pattern."""
-    pieces = set(game.piece_symbols)
-    players = {name for name, _ in game.players}
-    bounds = dict(game.players) | dict(game.extra_variables)
-
-    def walk(pat: ast.Pattern, in_check: bool):
-        if isinstance(pat, ast.Name):
-            if pat.name not in direction_names:
-                raise UnknownMacro(pat.name)
-        elif isinstance(pat, ast.On):
-            bad = set(pat.names) - pieces
-            if bad:
-                raise RbgValidationError(f"unknown pieces in test: {sorted(bad)}")
-        elif isinstance(pat, ast.SetHere):
-            if pat.name not in pieces:
-                raise RbgValidationError(f"unknown piece {pat.name!r}")
-        elif isinstance(pat, ast.SwitchTo):
-            if pat.name not in players:
-                raise RbgValidationError(f"unknown player {pat.name!r}")
-            if in_check:
-                raise RbgValidationError("switch inside a lookahead check")
-        elif isinstance(pat, ast.SwitchKeep):
-            if in_check:
-                raise RbgValidationError("switch inside a lookahead check")
-        elif isinstance(pat, ast.AssignVars):
-            for name, value in pat.assigns:
-                if name not in bounds:
-                    raise RbgValidationError(f"unknown variable {name!r}")
-                if value > bounds[name]:
-                    raise RbgValidationError(
-                        f"assignment {name}={value} exceeds bound {bounds[name]}"
-                    )
-        elif isinstance(pat, (ast.Concat, ast.Alt)):
-            for p in pat.parts:
-                walk(p, in_check)
-        elif isinstance(pat, ast.Star):
-            walk(pat.child, in_check)
-        elif isinstance(pat, ast.Check):
-            walk(pat.child, True)
-        elif isinstance(pat, ast.Call):
-            raise RbgValidationError("macro call survived expansion")
-
-    walk(game.rules, False)
-    for row in game.board_rows:
-        bad = set(row) - pieces
-        if bad:
-            raise RbgValidationError(f"board literal uses unknown pieces {sorted(bad)}")

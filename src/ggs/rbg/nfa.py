@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import ast
+from .expand import RbgValidationError
 
 EPS = ("eps",)
 
@@ -39,9 +40,11 @@ class Nfa:
 
 
 class _Builder:
-    def __init__(self, resolver):
+    def __init__(self, resolver, in_check: bool):
         self.edges: list[list] = []
         self.resolve = resolver
+        self.in_check = in_check
+        self.pure = True  # no set, assign or impure check resolved yet
 
     def node(self) -> int:
         self.edges.append([])
@@ -75,49 +78,56 @@ class _Builder:
             return s, t
         # leaves
         s, t = self.node(), self.node()
-        self.edge(s, self.resolve(pat), t)
+        self.edge(s, self.resolve(pat, self), t)
         return s, t
 
 
 def build_nfa(pattern: ast.Pattern, context) -> Nfa:
     """Thompson automaton over a macro-free pattern.
 
-    ``context`` supplies name resolution: direction_index(name),
-    piece_id(name), player_index(name).  Equal check bodies (AST nodes
-    are frozen, so equality is structural) share one sub-automaton.
+    Every name is resolved and checked here: ``context`` gives
+    direction_index(name), piece_id(name) and player_index(name), checks
+    variable(name, value) against its bound, and raises on an unknown
+    name.  A switch inside a check body raises ``RbgValidationError``.
+    Equal check bodies (AST nodes are frozen, so equality is structural)
+    share one sub-automaton, pure when it resolved no write and no
+    impure check.
     """
     subs: dict = {}  # check body -> (its Nfa, whether it writes nothing)
 
-    def resolve(pat: ast.Pattern):
+    def resolve(pat: ast.Pattern, builder: _Builder):
         if isinstance(pat, ast.Name):
             return ("shift", context.direction_index(pat.name))
-        if isinstance(pat, ast.Shift):
-            return ("shift", pat.direction)
         if isinstance(pat, ast.On):
             return ("on", frozenset(context.piece_id(n) for n in pat.names))
         if isinstance(pat, ast.SetHere):
+            builder.pure = False
             return ("set", context.piece_id(pat.name))
         if isinstance(pat, ast.AssignVars):
+            builder.pure = False
+            for name, value in pat.assigns:
+                context.variable(name, value)
             return ("assign", tuple(pat.assigns))
+        if isinstance(pat, ast.Check):
+            body = subs.get(pat.child)
+            if body is None:
+                body = subs[pat.child] = build(pat.child, True)
+            builder.pure &= body[1]
+            return ("check", pat.positive) + body
+        if isinstance(pat, (ast.SwitchTo, ast.SwitchKeep)) and builder.in_check:
+            raise RbgValidationError("switch inside a lookahead check")
         if isinstance(pat, ast.SwitchTo):
             return ("switch", context.player_index(pat.name))
         if isinstance(pat, ast.SwitchKeep):
             return ("keep",)
-        if isinstance(pat, ast.Check):
-            body = subs.get(pat.child)
-            if body is None:
-                body = subs[pat.child] = (
-                    build(pat.child), not ast.contains_mutation(pat.child)
-                )
-            return ("check", pat.positive) + body
         raise TypeError(f"cannot build NFA from {pat!r}")
 
-    def build(pat: ast.Pattern) -> Nfa:
-        builder = _Builder(resolve)
+    def build(pat: ast.Pattern, in_check: bool) -> tuple[Nfa, bool]:
+        builder = _Builder(resolve, in_check)
         start, accept = builder.build(pat)
-        return Nfa(builder.edges, start, accept, frozenset([accept]))
+        return Nfa(builder.edges, start, accept, frozenset([accept])), builder.pure
 
-    return build(pattern)
+    return build(pattern, False)[0]
 
 
 def _eps_closure(nfa: Nfa, node: int) -> set[int]:

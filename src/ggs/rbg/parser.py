@@ -3,7 +3,8 @@
 Grammar notes: `+` is alternation and binds looser than concatenation;
 postfix `*` binds tightest.  `#` sections may appear in any order, each at
 most once; sections other than players/pieces/variables/board/rules define
-macros.
+macros.  Groups, checks, macro arguments and stacked stars nest at most
+``ast.MAX_NESTING`` deep.
 """
 
 from __future__ import annotations
@@ -13,11 +14,11 @@ from .lexer import Token, tokenize_rbg
 
 
 class ParseError(ValueError):
-    def __init__(self, token: Token, expected):
-        exp = ", ".join(sorted(expected))
+    def __init__(self, token: Token, expected, problem: str = ""):
+        problem = problem or "expected one of: " + ", ".join(sorted(expected))
         super().__init__(
             f"parse error at {token.line}:{token.col}: got {token.kind}"
-            f" ({token.text!r}), expected one of: {exp}"
+            f" ({token.text!r}), {problem}"
         )
         self.token = token
         self.expected = frozenset(expected)
@@ -41,6 +42,9 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0  # groups open around the current token
+        # deepest level, stacked stars counted, in the pattern being read
+        self.peak = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -100,11 +104,11 @@ class _Parser:
 
     def _parse_reserved(self, name: str):
         if name == "#players":
-            return tuple(self._parse_bound_list(require_one=True))
+            return tuple(self._parse_bound_list())
         if name == "#variables":
             if self.peek().kind != "IDENT":
                 return ()
-            return tuple(self._parse_bound_list(require_one=True))
+            return tuple(self._parse_bound_list())
         if name == "#pieces":
             symbols = [self.take("IDENT").text]
             while self.accept("COMMA"):
@@ -114,7 +118,7 @@ class _Parser:
             return self._parse_board()
         return self.parse_pattern()  # #rules
 
-    def _parse_bound_list(self, require_one: bool):
+    def _parse_bound_list(self):
         entries = [self._parse_bound_entry()]
         while self.accept("COMMA"):
             entries.append(self._parse_bound_entry())
@@ -168,25 +172,44 @@ class _Parser:
             return parts[0]
         return ast.Concat(tuple(parts))
 
+    def _too_deep(self, tok: Token) -> ParseError:
+        return ParseError(tok, (), f"patterns nest deeper than {ast.MAX_NESTING}")
+
+    def _parse_nested(self, opener: Token) -> ast.Pattern:
+        """A pattern one group deeper; ``opener`` opened the group."""
+        self.depth += 1
+        if self.depth > ast.MAX_NESTING:
+            raise self._too_deep(opener)
+        node = self.parse_pattern()
+        self.depth -= 1
+        return node
+
     def _parse_repeat(self) -> ast.Pattern:
+        # each star nests everything inside the primary one level deeper
+        outer, self.peak = self.peak, self.depth
         node = self._parse_primary()
-        while self.accept("STAR"):
+        while self.peek().kind == "STAR":
+            self.peak += 1
+            if self.peak > ast.MAX_NESTING:
+                raise self._too_deep(self.peek())
+            self.pos += 1
             node = ast.Star(node)
+        self.peak = max(self.peak, outer)
         return node
 
     def _parse_primary(self) -> ast.Pattern:
         tok = self.peek()
         if tok.kind == "LPAREN":
             self.take("LPAREN")
-            node = self.parse_pattern()
+            node = self._parse_nested(tok)
             self.take("RPAREN")
             return node
         if tok.kind == "LBRACE":
             self.take("LBRACE")
             if self.accept("QMARK"):
-                node = ast.Check(True, self.parse_pattern())
+                node = ast.Check(True, self._parse_nested(tok))
             elif self.accept("BANG"):
-                node = ast.Check(False, self.parse_pattern())
+                node = ast.Check(False, self._parse_nested(tok))
             else:
                 names = [self.take("IDENT").text]
                 while self.accept("COMMA"):
@@ -213,10 +236,11 @@ class _Parser:
             return ast.SwitchKeep()
         if tok.kind == "IDENT":
             name = self.take("IDENT").text
+            opener = self.peek()
             if self.accept("LPAREN"):
-                args = [self.parse_pattern()]
+                args = [self._parse_nested(opener)]
                 while self.accept("SEMI"):
-                    args.append(self.parse_pattern())
+                    args.append(self._parse_nested(opener))
                 self.take("RPAREN")
                 return ast.Call(name, tuple(args))
             return ast.Name(name)

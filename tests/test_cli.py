@@ -163,3 +163,46 @@ def test_dump_ir():
     proc = run_cli("dump-ir", "amazons")
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0].lstrip().startswith("0:")
+
+
+DEEP_RBG = """
+#players = white(100), black(100)
+#pieces = e, w, b
+#variables =
+#board = rectangle(up,down,left,right, [e, w] [b, e])
+{macros}
+#rules = ->white {rules} -> black
+"""
+
+
+MACRO_CHAIN = "#m0 = up\n" + "".join(
+    f"#m{i} = m{i - 1}" + "*" * 20 + "\n" for i in range(1, 61)
+)
+
+# each input used to end ``ggs validate`` in a RecursionError
+DEEP_NESTING = [
+    ("parens.rbg", DEEP_RBG.format(
+        macros="", rules="(" * 250 + "up" + ")" * 250), "ParseError"),
+    ("checks.rbg", DEEP_RBG.format(
+        macros="", rules="{? " * 250 + "up" + " }" * 250), "ParseError"),
+    ("stars.rbg", DEEP_RBG.format(
+        macros="", rules="[w]" + "*" * 1000), "ParseError"),
+    ("macros.rbg", DEEP_RBG.format(
+        macros=MACRO_CHAIN, rules="m60"), "RecursionDetected"),
+    ("not.lud", library.load_description("tictactoe", "ludemic").replace(
+        "(empty)", "(not " * 1000 + "(empty)" + ")" * 1000), "NestingTooDeep"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, text, error", DEEP_NESTING, ids=[case[0] for case in DEEP_NESTING]
+)
+def test_deep_nesting_exits_1_on_one_line(tmp_path, name, text, error):
+    path = tmp_path / name
+    path.write_text(text)
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert f": {error}: " in line
+    assert "nest" in line and "RecursionError" not in line

@@ -1,0 +1,37 @@
+"""Source hygiene: no module under ``src/ggs`` imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "ggs"
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    imported = {}  # bound name -> line of its import
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(
+        f"{name} (line {line})" for name, line in imported.items() if name not in used
+    )
+
+
+def test_every_imported_name_is_used():
+    modules = sorted(SOURCE.rglob("*.py"))
+    assert modules
+    found = {}
+    for path in modules:
+        unused = unused_imports(ast.parse(path.read_text(), str(path)))
+        if unused:
+            found[str(path.relative_to(SOURCE))] = unused
+    assert not found, found
+
+
+def test_the_check_sees_an_unused_import():
+    tree = ast.parse("import os\nfrom re import match, sub\nsub('a', 'b', 'c')\n")
+    assert unused_imports(tree) == ["match (line 2)", "os (line 1)"]

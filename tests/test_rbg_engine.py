@@ -238,6 +238,8 @@ def render(pat):
         return "{" + ", ".join(pat.names) + "}"
     if isinstance(pat, ast.SetHere):
         return f"[{pat.name}]"
+    if isinstance(pat, ast.AssignVars):
+        return "[$ " + ", ".join(f"{n}={v}" for n, v in pat.assigns) + "]"
     if isinstance(pat, ast.Concat):
         return "(" + " ".join(render(p) for p in pat.parts) + ")"
     if isinstance(pat, ast.Alt):
@@ -608,6 +610,47 @@ def test_walk_order_matches_recursive_oracle_on_micro_games(seed):
 def test_walk_order_matches_recursive_oracle_on_library_games(name, seed):
     game = RbgGame.from_text(library.load_description(name, "rbg"))
     assert_walks_match_oracle(game, seed, 6)
+
+
+def contains_mutation(pat):
+    """Test-only copy of the AST walk that once set each check's pure flag."""
+    if isinstance(pat, (ast.SetHere, ast.AssignVars)):
+        return True
+    if isinstance(pat, (ast.Concat, ast.Alt)):
+        return any(contains_mutation(p) for p in pat.parts)
+    if isinstance(pat, (ast.Star, ast.Check)):
+        return contains_mutation(pat.child)
+    return False
+
+
+def checks_in(pat):
+    if isinstance(pat, ast.Check):
+        yield pat
+    for child in getattr(pat, "parts", ()):
+        yield from checks_in(child)
+    if hasattr(pat, "child"):
+        yield from checks_in(pat.child)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_check_pure_flag_matches_mutation_walk(seed):
+    # bodies with nested checks, cell writes and variable writes; each
+    # check is compiled alone, so its label is the rules' only CHECK
+    rng = random.Random(seed)
+    body = random_micro_pattern(rng, 1, allow_check=True)
+    if rng.random() < 0.5:
+        assign = ast.AssignVars((("q", rng.randint(0, 100)),))
+        if rng.random() < 0.5:
+            assign = ast.Check(rng.random() < 0.5, assign)
+        body = ast.Concat((body, assign))
+    for check in checks_in(ast.Check(rng.random() < 0.5, body)):
+        game = micro_game([["e", "w"]], f"->p {render(check)} -> q")
+        (label,) = [
+            label for out in game.nfa.edges for label, _ in out
+            if label[0] == "check"
+        ]
+        assert label[3] == (not contains_mutation(check.child)), render(check)
 
 
 # -- library game behavior ----------------------------------------------

@@ -1,4 +1,4 @@
-"""Macro expansion and validation for the regex game dialect."""
+"""Macro expansion, and the name checks made as the rules are compiled."""
 
 import pytest
 
@@ -9,22 +9,24 @@ from ggs.rbg.expand import (
     RecursionDetected,
     UnknownMacro,
     expand_macros,
-    validate,
 )
+from ggs.rbg.engine import RbgGame
 from ggs.rbg.parser import parse_rbg
 
-from ggs.core.board import RECT_DIRECTIONS
+
+def source(rules, extra="", board="[e, w] [b, e]"):
+    return f"""
+#players = white(100), black(100)
+#pieces = e, w, b
+#variables = turn(3)
+#board = rectangle(up,down,left,right, {board})
+{extra}
+#rules = {rules}
+"""
 
 
 def build(rules, extra=""):
-    return parse_rbg(f"""
-#players = white(100), black(100)
-#pieces = e, w, b
-#variables =
-#board = rectangle(up,down,left,right, [e, w] [b, e])
-{extra}
-#rules = {rules}
-""")
+    return parse_rbg(source(rules, extra))
 
 
 def test_simple_macro_substitution():
@@ -97,9 +99,8 @@ def test_pattern_argument_in_atom_position_rejected():
         )
 
 
-def validate_rules(rules, extra=""):
-    game = expand_macros(build(rules, extra))
-    validate(game, RECT_DIRECTIONS)
+def validate_rules(rules, extra="", board="[e, w] [b, e]"):
+    return RbgGame.from_text(source(rules, extra, board))
 
 
 def test_validate_accepts_minimal():
@@ -109,6 +110,8 @@ def test_validate_accepts_minimal():
 def test_validate_unknown_piece():
     with pytest.raises(RbgValidationError):
         validate_rules("->white [q] -> black")
+    with pytest.raises(RbgValidationError):
+        validate_rules("->white {q} [w] -> black")
 
 
 def test_validate_unknown_player():
@@ -124,6 +127,19 @@ def test_validate_unknown_direction():
 def test_validate_bound_exceeded():
     with pytest.raises(RbgValidationError):
         validate_rules("->white [$ white=101] -> black")
+    with pytest.raises(RbgValidationError):
+        validate_rules("->white [$ turn=4] -> black")
+    validate_rules("->white [$ white=100, turn=3] -> black")
+
+
+def test_validate_unknown_variable():
+    with pytest.raises(RbgValidationError, match="unknown variable 'nosuch'"):
+        validate_rules("->white [$ nosuch=1] -> black")
+
+
+def test_validate_unknown_board_literal_piece():
+    with pytest.raises(RbgValidationError, match="board literal"):
+        validate_rules("->white [w] -> black", board="[e, q] [b, e]")
 
 
 def test_validate_no_switch_inside_check():
@@ -131,3 +147,20 @@ def test_validate_no_switch_inside_check():
         validate_rules("->white {? up -> black} -> black")
     with pytest.raises(RbgValidationError):
         validate_rules("->white {! ->> } -> black")
+
+
+def test_nesting_is_counted_through_macro_bodies_and_arguments():
+    # each macro adds 20 stars to the previous one; no single body nests
+    # deeply, the expanded rules do
+    chain = "#m0 = up\n" + "".join(
+        f"#m{i} = m{i - 1}" + "*" * 20 + "\n" for i in range(1, 61)
+    )
+    with pytest.raises(RecursionDetected, match="nest deeper than"):
+        expand_macros(build("->white m60 -> black", chain))
+    # an argument nests as deep as the place it is substituted into
+    passing = "#m0(p) = p\n" + "".join(
+        f"#m{i}(p) = m{i - 1}(p" + "*" * 10 + ")\n" for i in range(1, 20)
+    )
+    with pytest.raises(RecursionDetected, match="nest deeper than"):
+        expand_macros(build("->white m19(up) -> black", passing))
+    expand_macros(build("->white m5(up) -> black", passing))

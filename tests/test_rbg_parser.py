@@ -96,3 +96,22 @@ def test_parse_error_reports_position_and_expectation():
     with pytest.raises(ParseError) as err:
         parse_pattern_text("up + *")
     assert err.value.token.line == 1
+
+
+def test_nesting_past_the_bound_is_a_positioned_parse_error():
+    deep = ast.MAX_NESTING
+    parse_pattern_text("(" * deep + "up" + ")" * deep)
+    parse_pattern_text("up" + "*" * deep)
+    parse_pattern_text("{? " * deep + "up" + "}" * deep)
+    # the first opener, or the first star, past the bound is reported
+    for text, col in (
+        ("(" * (deep + 1) + "up" + ")" * (deep + 1), deep + 1),
+        ("up" + "*" * (deep + 1), 3 + deep),
+        ("{? " * (deep + 1) + "up" + "}" * (deep + 1), 3 * deep + 1),
+        ("(" * (deep - 2) + "up**" + ")" * (deep - 2) + "*", 2 * deep + 1),
+        ("(up" + "*" * (deep - 1) + " down)*", deep + 9),
+        ("f(" * (deep + 1) + "up" + ")" * (deep + 1), 2 * deep + 2),
+    ):
+        with pytest.raises(ParseError, match="nest deeper than") as err:
+            parse_pattern_text(text)
+        assert (err.value.token.line, err.value.token.col) == (1, col), text

@@ -3,7 +3,9 @@
 import pytest
 
 from ggs.ludeme.sexpr import (
+    MAX_NESTING,
     Atom,
+    NestingTooDeep,
     SList,
     SSet,
     Unbalanced,
@@ -58,3 +60,9 @@ def test_unterminated_string():
 def test_parse_sexpr_requires_single_expression():
     with pytest.raises(Unbalanced):
         parse_sexpr("(a) (b)")
+
+
+def test_nesting_past_the_bound_is_positioned():
+    parse_sexpr("(a " * MAX_NESTING + ")" * MAX_NESTING)
+    with pytest.raises(NestingTooDeep, match=f"at 2:{3 * MAX_NESTING + 1} "):
+        parse_sexpr("\n" + "(a " * (MAX_NESTING + 1) + ")" * (MAX_NESTING + 1))
