@@ -16,11 +16,29 @@ order, so when no piece symbol is a proper prefix of another the keys
 order moves exactly as their delta texts do and ``sort_moves`` needs no
 text.  Otherwise, and for custodial flips (any number of writes), moves
 are ordered by delta text (``Engine.sort_moves``).
+
+A move whose effects and key depend only on its origin and destination
+is built once and shared by every state that lists it: ``place``,
+``drop`` and ``shoot`` hold one move per cell, and a piece holds, per
+origin, one move per cell of each ray, built the first time that origin
+moves.  Shared moves are never written.  Two kinds are built fresh in
+every state: a move whose write is a no-op (it writes the piece already
+on the cell, so its key is the unchanged key), and every move of a game
+whose ranks are not in text order, since ``Engine.sort_moves`` writes a
+text key on each move it sorts.
+
+A generator may declare at build that it lists its moves in canonical
+order, when its tables prove it for every state: ``place`` walks its
+cells in key order and lists no no-op, and ``drop`` lists one move per
+column in column order when every key of a column is below every key of
+the next (true up to 26 columns; file "aa" sorts between "a" and "b").
+``probe`` passes the declaration to ``sort_moves``, which then returns
+the list as it is; every other list is sorted as above.
 """
 
 from __future__ import annotations
 
-from ..core.model import GameState, IllegalMove, Move, NO_VERTEX, apply_effects
+from ..core.model import GameState, Move, NO_VERTEX, apply_effects
 from ..core.playout import Engine
 from .compile import LINE_AXES, RELATIVE_DIRECTIONS, CompiledLudemicGame
 
@@ -50,11 +68,6 @@ def _line_through(axes, contents, last_to: int, piece_ids, n: int) -> bool:
         if count >= n:
             return True
     return False
-
-
-def detect_line(board, contents, last_to: int, piece_ids, n: int) -> bool:
-    """Run of >= n cells holding any of piece_ids through last_to."""
-    return _line_through(_axis_tables(board), contents, last_to, piece_ids, n)
 
 
 def region_connected(board, contents, piece_ids, side_a, side_b) -> bool:
@@ -117,6 +130,13 @@ class _KeyPacker:
         return tuple(r * b**3 + tail for r in self.ranks(pid))
 
 
+def _fresh(gen):
+    """gen, listing copies of its moves instead of the shared ones."""
+    return lambda state: [
+        Move(m.effects, m.replay, m.control, m.key) for m in gen(state)
+    ]
+
+
 class LudemicEngine(Engine):
     mode = "ludemic"
 
@@ -135,9 +155,12 @@ class LudemicEngine(Engine):
             p: frozenset(pid for pid in pieces if self._owner[pid] == p)
             for p in players
         }
-        self._plays = (None,) + tuple(
-            self._compile_play(game.play_rule, p) for p in players
-        )
+        plays = [self._compile_play(game.play_rule, p) for p in players]
+        if not self._keys.ordered:
+            # Engine.sort_moves writes a text key on every move it sorts
+            plays = [(_fresh(gen), canonical) for gen, canonical in plays]
+        self._plays = (None,) + tuple(gen for gen, _ in plays)
+        self._canonical = (None,) + tuple(canonical for _, canonical in plays)
         self._ends = (None,) + tuple(
             tuple(
                 (self._compile_end(cond, p), self._compile_result(result, p))
@@ -161,26 +184,29 @@ class LudemicEngine(Engine):
     # -- move generation ------------------------------------------------
 
     def probe(self, state: GameState):
-        moves = self.sort_moves(state, self._generate(state, state.mover))
+        mover = state.mover
+        moves = self.sort_moves(
+            state, self._generate(state, mover), self._canonical[mover]
+        )
         payoffs = self._evaluate_end(state, moves)
         return moves, payoffs
 
     def apply(self, state: GameState, move: Move) -> GameState:
         return apply_effects(state, move)
 
-    def apply_checked(self, state: GameState, move: Move) -> GameState:
-        legal = {(m.effects, m.replay) for m in self._generate(state, state.mover)}
-        if (move.effects, move.replay) not in legal:
-            raise IllegalMove("move is not legal in this state")
-        return self.apply(state, move)
-
     def _generate(self, state: GameState, mover: int) -> list[Move]:
         return self._plays[mover](state)
 
-    def sort_moves(self, state: GameState, moves: list[Move]) -> list[Move]:
+    def sort_moves(
+        self, state: GameState, moves: list[Move], canonical: bool = False
+    ) -> list[Move]:
         """Canonical order from the keys the generator attached; by delta
-        text when a move carries none or the ranks are not in text order."""
+        text when a move carries none or the ranks are not in text order.
+        ``canonical`` says the generator proved at build that it lists
+        its moves in key order; it is trusted only when keys are ordered."""
         if self._keys.ordered:
+            if canonical:
+                return moves
             keys = [m.key for m in moves]
             if None not in keys:
                 return self.order_by_keys(moves, keys)
@@ -189,21 +215,28 @@ class LudemicEngine(Engine):
     # -- compilation: play rules ----------------------------------------
 
     def _compile_play(self, rule, mover: int):
+        """(generator, canonical): the closure listing the mover's moves,
+        and whether its tables prove at build that, in every state, it
+        lists them in key order with no two keys equal."""
         head = rule[0]
         if head == "if_even_turn":
-            even = self._compile_play(rule[1], mover)
-            odd = self._compile_play(rule[2], mover)
-            return lambda state: (odd if state.turn_number % 2 else even)(state)
+            even, _ = self._compile_play(rule[1], mover)
+            odd, _ = self._compile_play(rule[2], mover)
+
+            def by_turn(state):
+                return (odd if state.turn_number % 2 else even)(state)
+
+            return by_turn, False
         if head == "byPiece":
-            return self._compile_by_piece(mover)
+            return self._compile_by_piece(mover), False
         if head == "shoot":
-            return self._compile_shoot(rule, mover)
+            return self._compile_shoot(rule, mover), False
         if head == "place":
             return self._compile_place(rule, mover)
         if head == "drop":
             return self._compile_drop(rule, mover)
         if head == "custodialFlip":
-            return self._compile_custodial(rule, mover)
+            return self._compile_custodial(rule, mover), False
         raise ValueError(f"unknown play rule {head!r}")
 
     def _writes(self, pid: int) -> tuple:
@@ -211,52 +244,79 @@ class LudemicEngine(Engine):
         return tuple(("cell", v, pid) for v in range(self.board.vertex_count))
 
     def _one_write(self, pid: int, mover: int):
-        """Effects and key, per vertex, of the move that writes pid there
-        and passes, plus the key of that move when the write is a no-op."""
+        """The move that writes pid at a vertex and passes, built once per
+        vertex with its key, plus the key of such a move whose write is a
+        no-op (that move is built fresh, in the state that has it)."""
         nxt = self.next_player(mover)
         pass_eff = ("pass", nxt)
-        effects = tuple((w, pass_eff) for w in self._writes(pid))
-        keys = self._keys.one_change(pid, nxt)
-        return effects, keys, self._keys.no_change(nxt)
+        moves = tuple(
+            Move((w, pass_eff), False, None, key)
+            for w, key in zip(self._writes(pid), self._keys.one_change(pid, nxt))
+        )
+        return moves, self._keys.no_change(nxt)
 
     def _compile_place(self, rule, mover: int):
         _, base, cond = rule
         pid = self.game.piece_instance(base, mover)
         ok = self._accepts(cond, mover)
-        effects, keys, unchanged = self._one_write(pid, mover)
+        moves, unchanged = self._one_write(pid, mover)
+        table = tuple(sorted(enumerate(moves), key=lambda vm: vm[1].key))
+        if not ok[pid]:
+            # every listed write changes its cell, so every key is the
+            # table's own, and any subset of the table is in key order
+            def place(state):
+                contents = state.contents
+                return [m for v, m in table if ok[contents[v]]]
 
-        def place(state):
-            return [
-                Move(effects[v], False, None, unchanged if c == pid else keys[v])
-                for v, c in enumerate(state.contents)
-                if ok[c]
-            ]
+            keys = [m.key for _, m in table]
+            return place, all(a < b for a, b in zip(keys, keys[1:]))
 
-        return place
+        def place_over(state):
+            contents = state.contents
+            out = []
+            for v, m in table:
+                c = contents[v]
+                if c == pid:
+                    out.append(Move(m.effects, False, None, unchanged))
+                elif ok[c]:
+                    out.append(m)
+            return out
+
+        return place_over, False
 
     def _compile_drop(self, rule, mover: int):
         _, base = rule
         pid = self.game.piece_instance(base, mover)
         board = self.board
+        moves, _ = self._one_write(pid, mover)
         # each column's cells from the bottom up; the drop lands on the
         # lowest empty one, which pid (never empty) always changes
         columns = tuple(
-            tuple(row * board.cols + col for row in range(board.rows - 1, -1, -1))
+            tuple(
+                (v, moves[v])
+                for v in range(
+                    (board.rows - 1) * board.cols + col, -1, -board.cols
+                )
+            )
             for col in range(board.cols)
         )
-        effects, keys, _ = self._one_write(pid, mover)
+        # One move per column, columns in board order: that is key order
+        # when every key of a column is below every key of the next.  Past
+        # 26 columns it is not, since file "aa" sorts between "a" and "b".
+        keys = [[m.key for _, m in column] for column in columns]
+        canonical = all(max(a) < min(b) for a, b in zip(keys, keys[1:]))
 
         def drop(state):
             contents = state.contents
             out = []
             for column in columns:
-                for v in column:
+                for v, m in column:
                     if contents[v] == 0:
-                        out.append(Move(effects[v], False, None, keys[v]))
+                        out.append(m)
                         break
             return out
 
-        return drop
+        return drop, canonical
 
     def _compile_shoot(self, rule, mover: int):
         _, cond, base, owner = rule
@@ -264,7 +324,7 @@ class LudemicEngine(Engine):
         pid = self.game.piece_instance(base, 0 if pdef.ownership == "None" else owner)
         ok = self._accepts(cond, mover)
         tables = self._dir_tables
-        effects, keys, unchanged = self._one_write(pid, mover)
+        moves, unchanged = self._one_write(pid, mover)
 
         def shoot(state):
             origin = state.last_to
@@ -275,8 +335,10 @@ class LudemicEngine(Engine):
             for table in tables:
                 v = table[origin]
                 while v >= 0 and ok[contents[v]]:
-                    key = unchanged if contents[v] == pid else keys[v]
-                    out.append(Move(effects[v], False, None, key))
+                    m = moves[v]
+                    if contents[v] == pid:
+                        m = Move(m.effects, False, None, unchanged)
+                    out.append(m)
                     v = table[v]
             return out
 
@@ -334,7 +396,10 @@ class LudemicEngine(Engine):
         """Closure appending the moves of the piece pid at an origin.
 
         Each move empties the origin, which always changes it, and writes
-        pid at the destination, a no-op when pid is already there.
+        pid at the destination, a no-op when pid is already there.  An
+        origin's moves are built on its first use, one per ray cell with
+        its key, and shared from then on; a move onto pid itself is built
+        fresh with its one-change key.
         """
         rays = self._rays(pdef.move_rule, mover)
         replay = pdef.replay
@@ -356,23 +421,39 @@ class LudemicEngine(Engine):
         repeats = pdef.move_rule[0] == "or" and len(
             {id(table) for table, _, _ in rays}
         ) < len(rays)
+        rows = [None] * self.board.vertex_count
 
-        def piece(contents, origin, out):
+        def row_of(origin):
+            """(key of a move onto pid, ((accepts, ((v, move), ...)), ...))
+            from origin, each ray out to the board's edge."""
             a = lift_rank[origin]
             source = lift[origin]
-            found = [] if repeats else out
+            row_rays = []
             for table, ok, slides in rays:
+                ray = []
                 v = table[origin]
-                while v >= 0 and ok[contents[v]]:
-                    if contents[v] == pid:
-                        key = a * b3 + one_tail
-                    else:
-                        r = put_rank[v]
-                        key = (a * b + r if a < r else r * b + a) * b2 + two_tail
-                    found.append(Move((source, put[v]) + tail, replay, None, key))
+                while v >= 0:
+                    r = put_rank[v]
+                    key = (a * b + r if a < r else r * b + a) * b2 + two_tail
+                    ray.append((v, Move((source, put[v]) + tail, replay, None, key)))
                     if not slides:
                         break
                     v = table[v]
+                row_rays.append((ok, tuple(ray)))
+            row = rows[origin] = (a * b3 + one_tail, tuple(row_rays))
+            return row
+
+        def piece(contents, origin, out):
+            onto_pid, row_rays = rows[origin] or row_of(origin)
+            found = [] if repeats else out
+            for ok, ray in row_rays:
+                for v, m in ray:
+                    c = contents[v]
+                    if not ok[c]:
+                        break
+                    if c == pid:
+                        m = Move(m.effects, replay, None, onto_pid)
+                    found.append(m)
             if repeats:
                 seen = set()
                 for m in found:

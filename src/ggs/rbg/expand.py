@@ -27,6 +27,17 @@ class RbgValidationError(ValueError):
     pass
 
 
+# Nodes one expansion may build or pass through.  The largest library
+# expansion counts 2,352 (Reversi), while each doubling macro
+# ``#mi = (m{i-1} + m{i-1})`` doubles the count, so a short description
+# could otherwise build millions.
+MAX_EXPANDED_NODES = 50_000
+
+
+class ExpansionTooLarge(RbgValidationError):
+    pass
+
+
 def _subst_atom(name: str, env: dict) -> str:
     """Resolve an atom position (piece/player/var name) through the env."""
     if name in env:
@@ -40,23 +51,32 @@ def _subst_atom(name: str, env: dict) -> str:
     return name
 
 
-def _expand(pat: ast.Pattern, macros: dict, env: dict, depth: int) -> ast.Pattern:
+def _expand(
+    pat: ast.Pattern, macros: dict, env: dict, depth: int, built: list
+) -> ast.Pattern:
     """``pat`` with macros substituted; ``depth`` counts every structural
     level and macro call above it, so runaway recursion and over-deep
-    nesting both stop at ``ast.MAX_NESTING``."""
+    nesting both stop at ``ast.MAX_NESTING``.  ``built[0]`` counts the
+    calls of the whole expansion, one per node it builds or passes
+    through, and stops it past ``MAX_EXPANDED_NODES``."""
     if depth > ast.MAX_NESTING:
         raise RecursionDetected(
             f"patterns nest deeper than {ast.MAX_NESTING} after macro expansion"
         )
+    built[0] += 1
+    if built[0] > MAX_EXPANDED_NODES:
+        raise ExpansionTooLarge(
+            f"macro expansion builds more than {MAX_EXPANDED_NODES} nodes"
+        )
     if isinstance(pat, ast.Name):
         if pat.name in env:
             # an expanded argument, walked again where it lands
-            return _expand(env[pat.name], macros, {}, depth)
+            return _expand(env[pat.name], macros, {}, depth, built)
         if pat.name in macros:
             params, body = macros[pat.name]
             if params:
                 raise ArityMismatch(f"macro {pat.name} expects {len(params)} args")
-            return _expand(body, macros, {}, depth + 1)
+            return _expand(body, macros, {}, depth + 1, built)
         return pat
     if isinstance(pat, ast.Call):
         if pat.name not in macros:
@@ -68,17 +88,21 @@ def _expand(pat: ast.Pattern, macros: dict, env: dict, depth: int) -> ast.Patter
             raise ArityMismatch(
                 f"macro {pat.name} expects {len(params)} args, got {len(pat.args)}"
             )
-        args = tuple(_expand(a, macros, env, depth + 1) for a in pat.args)
-        return _expand(body, macros, dict(zip(params, args)), depth + 1)
+        args = tuple(_expand(a, macros, env, depth + 1, built) for a in pat.args)
+        return _expand(body, macros, dict(zip(params, args)), depth + 1, built)
     depth += 1
     if isinstance(pat, ast.Concat):
-        return ast.Concat(tuple(_expand(p, macros, env, depth) for p in pat.parts))
+        return ast.Concat(
+            tuple(_expand(p, macros, env, depth, built) for p in pat.parts)
+        )
     if isinstance(pat, ast.Alt):
-        return ast.Alt(tuple(_expand(p, macros, env, depth) for p in pat.parts))
+        return ast.Alt(
+            tuple(_expand(p, macros, env, depth, built) for p in pat.parts)
+        )
     if isinstance(pat, ast.Star):
-        return ast.Star(_expand(pat.child, macros, env, depth))
+        return ast.Star(_expand(pat.child, macros, env, depth, built))
     if isinstance(pat, ast.Check):
-        return ast.Check(pat.positive, _expand(pat.child, macros, env, depth))
+        return ast.Check(pat.positive, _expand(pat.child, macros, env, depth, built))
     if isinstance(pat, ast.On):
         return ast.On(tuple(_subst_atom(n, env) for n in pat.names))
     if isinstance(pat, ast.SetHere):
@@ -94,5 +118,5 @@ def _expand(pat: ast.Pattern, macros: dict, env: dict, depth: int) -> ast.Patter
 
 def expand_macros(game: ast.RbgGameDef) -> ast.RbgGameDef:
     """Substitute all macro calls in the rules to a fixpoint."""
-    rules = _expand(game.rules, game.macros, {}, 0)
+    rules = _expand(game.rules, game.macros, {}, 0, [0])
     return replace(game, rules=rules, macros={})

@@ -206,3 +206,17 @@ def test_deep_nesting_exits_1_on_one_line(tmp_path, name, text, error):
     (line,) = proc.stderr.splitlines()
     assert f": {error}: " in line
     assert "nest" in line and "RecursionError" not in line
+
+
+def test_validate_oversized_macro_expansion_exits_1_on_one_line(tmp_path):
+    # 16 macros, each an alternative of two copies of the one before
+    macros = "#m0 = right\n" + "".join(
+        f"#m{i} = (m{i - 1} + m{i - 1})\n" for i in range(1, 17)
+    )
+    path = tmp_path / "doubling.rbg"
+    path.write_text(RUNAWAY_RULES.split("#rules")[0] + macros + "#rules = ->p m16\n")
+    proc = run_cli("validate", str(path))
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    assert ": ExpansionTooLarge: macro expansion builds more than" in line

@@ -15,12 +15,9 @@ from ggs.core.board import build_hex_board
 from ggs.core.model import NO_VERTEX
 from ggs.core.playout import run_playout
 from ggs.ludeme.compile import compile_ludemic
-from ggs.ludeme.engine import (
-    LudemicEngine,
-    ShootWithoutContext,
-    detect_line,
-    region_connected,
-)
+from ggs.ludeme.engine import LudemicEngine, ShootWithoutContext, region_connected
+
+from ludemic_helpers import detect_line
 
 
 def engine_for(name):

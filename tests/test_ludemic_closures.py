@@ -1,5 +1,6 @@
-"""Compiled ludemic rules against a tree-walking oracle, and the ordering
-keys the compiled generators attach.
+"""Compiled ludemic rules against a tree-walking oracle, the ordering
+keys the compiled generators attach, and the prebuilt moves they share
+between states.
 
 ``TreeWalker`` is a test-only copy of the evaluator the closures replaced:
 it re-dispatches on each rule's head at every call and orders moves by
@@ -11,6 +12,7 @@ same moves in the same order and give the same payoffs.
 from hypothesis import given, settings, strategies as st
 
 from ggs import library
+from ggs.bench import dedup_moves
 from ggs.core.model import (
     GameState,
     Move,
@@ -22,12 +24,9 @@ from ggs.core.model import (
 from ggs.core.playout import Engine
 from ggs.core.rng import Prng
 from ggs.ludeme.compile import compile_ludemic
-from ggs.ludeme.engine import (
-    LudemicEngine,
-    ShootWithoutContext,
-    detect_line,
-    region_connected,
-)
+from ggs.ludeme.engine import LudemicEngine, ShootWithoutContext, region_connected
+
+from ludemic_helpers import detect_line
 
 _RELATIVE_DIRS = {
     1: {"forward": "up", "forwardLeft": "up_left", "forwardRight": "up_right"},
@@ -444,17 +443,22 @@ def move_rules(draw, dirs, depth=0):
 @st.composite
 def micro_games(draw):
     hexagonal = draw(st.booleans())
+    kinds = ["byPiece", "place", "custodialFlip", "shoot"]
+    play_kind = draw(st.sampled_from(kinds if hexagonal else kinds + ["drop"]))
     if hexagonal:
         size = draw(st.integers(2, 5))
         board, cells = f"(hexBoard {size})", size * size
         dirs = HEX_DIRS
     else:
         rows = draw(st.integers(1, 4))
-        cols = draw(st.sampled_from([2, 3, 5, 27, 30]))
+        widths = [2, 3, 5, 27, 30]
+        if play_kind in ("place", "drop"):
+            # both sides of file "aa", where column order stops being
+            # key order: the build-time check of a canonical generator
+            widths += [26, 52]
+        cols = draw(st.sampled_from(widths))
         board, cells = f"(rectBoard {rows} {cols})", rows * cols
         dirs = RECT_DIRS
-    kinds = ["byPiece", "place", "custodialFlip", "shoot"]
-    play_kind = draw(st.sampled_from(kinds if hexagonal else kinds + ["drop"]))
     mover_name, other_name = draw(st.sampled_from(NAME_SETS))
     m, o = mover_name.capitalize(), other_name.capitalize()
     rule = draw(move_rules(dirs))
@@ -511,14 +515,25 @@ def test_micro_games_match_tree_walker(source, seed):
     walk_against_oracle(source, seed, 12)
 
 
-def test_non_prefix_free_symbols_order_by_text():
-    source = """
+PREFIX_GAME = """
 (game "Prefix"
  (mode 2)
  (equipment { (rectBoard 1 3) (q Each) (q10x Each) })
  (rules (play (place "Q" (in (to) (empty)))) (end ((boardFull) (result Draw))))
 )
 """
+
+WIDE_GAME = """
+(game "Wide"
+ (mode 2)
+ (equipment { (rectBoard 2 30) (disc Each) })
+ (rules (play (place "Disc" (in (to) (empty)))) (end ((boardFull) (result Draw))))
+)
+"""
+
+
+def test_non_prefix_free_symbols_order_by_text():
+    source = PREFIX_GAME
     engine = LudemicEngine(compile_ludemic(source))
     assert not engine._keys.ordered
     q1, q10x1 = (engine.piece_symbols.index(s) for s in ("q1", "q10x1"))
@@ -534,16 +549,159 @@ def test_non_prefix_free_symbols_order_by_text():
 
 
 def test_wide_board_keys_follow_spreadsheet_files():
-    source = """
-(game "Wide"
- (mode 2)
- (equipment { (rectBoard 2 30) (disc Each) })
- (rules (play (place "Disc" (in (to) (empty)))) (end ((boardFull) (result Draw))))
-)
-"""
+    source = WIDE_GAME
     engine = LudemicEngine(compile_ludemic(source))
     moves = engine.legal_moves(engine.initial_state())
     texts = [engine.delta_text(engine.initial_state(), m) for m in moves]
     assert texts == sorted(texts)
     assert "cell:aa1=disc1;mover=2" in texts
     walk_against_oracle(source, 1, 10)
+
+
+# -- shared moves -------------------------------------------------------
+
+
+def shared_moves(engine):
+    """Every move the engine's generators hold between calls.
+
+    A piece's moves are built per origin on first use, so each byPiece
+    generator is first called on boards full of one of the mover's
+    pieces, which builds that piece's moves from every origin.
+    """
+    for p in range(1, engine.player_count + 1):
+        for pid, owner in enumerate(engine._owner):
+            if owner == p:
+                for turn in (0, 1):
+                    full = [pid] * engine.board.vertex_count
+                    engine._generate(GameState(full, p, {}, turn, last_to=0), p)
+    found, seen, stack = [], set(), list(engine._plays[1:])
+    while stack:
+        x = stack.pop()
+        if id(x) in seen:
+            continue
+        seen.add(id(x))
+        if isinstance(x, Move):
+            found.append(x)
+        elif isinstance(x, (tuple, list)):
+            stack.extend(x)
+        elif callable(x) and getattr(x, "__closure__", None):
+            stack.extend(c.cell_contents for c in x.__closure__)
+    return found
+
+
+def snapshot(moves):
+    return {id(m): (m.effects, m.replay, m.control, m.key) for m in moves}
+
+
+def walk_sorting_and_deduplicating(engine, seed, plies):
+    """Seeded walk through every reader and writer of listed moves: probe,
+    a re-sort of the reversed list, delta dedup and delta texts."""
+    rng = Prng(seed)
+    state = engine.initial_state()
+    for _ in range(plies):
+        moves, payoffs = engine.probe(state)
+        yield moves
+        engine.sort_moves(state, moves[::-1])
+        dedup_moves(engine, state, moves)
+        for m in moves:
+            engine.delta_text(state, m)
+        if payoffs is not None or not moves:
+            return
+        state = engine.apply(state, moves[rng.uniform_index(len(moves))])
+
+
+def test_no_walk_changes_a_shared_move():
+    sources = {
+        name: library.load_description(name, "ludemic") for name in LIBRARY_PLIES
+    }
+    sources.update(Prefix=PREFIX_GAME, Wide=WIDE_GAME)
+    plies = dict(LIBRARY_PLIES, Prefix=3, Wide=60)
+    for name, source in sorted(sources.items()):
+        engine = LudemicEngine(compile_ludemic(source))
+        shared = shared_moves(engine)
+        assert shared or name == "Reversi", name  # custodial flips are built fresh
+        before = snapshot(shared)
+        for seed in range(3):
+            for _ in walk_sorting_and_deduplicating(engine, seed, plies[name]):
+                pass
+        assert snapshot(shared) == before, name
+
+
+def test_unordered_game_lists_no_shared_move():
+    engine = LudemicEngine(compile_ludemic(PREFIX_GAME))
+    assert not engine._keys.ordered
+    shared = {id(m) for m in shared_moves(engine)}
+    assert shared
+    for moves in walk_sorting_and_deduplicating(engine, 0, 3):
+        assert moves and not shared & {id(m) for m in moves}
+
+
+DROP_GAME = """
+(game "Drop"
+ (mode 2)
+ (equipment {{ (rectBoard 2 {cols}) (disc Each) }})
+ (rules (play (drop "Disc")) (end ((boardFull) (result Draw))))
+)
+"""
+
+
+def test_drop_declares_key_order_only_for_single_letter_files():
+    for cols, canonical in ((26, True), (27, False), (52, False)):
+        source = DROP_GAME.format(cols=cols)
+        engine = LudemicEngine(compile_ludemic(source))
+        assert engine._canonical[1:] == (canonical, canonical), cols
+        walk_against_oracle(source, cols, 2 * cols)
+
+
+def test_place_declares_key_order_only_when_every_write_changes():
+    place = """
+(game "Place"
+ (mode 2)
+ (equipment {{ (rectBoard 3 3) (disc Each) }})
+ (rules (start {{ (place "Disc1" {{0 4}}) (place "Disc2" {{8}}) }})
+        (play (place "Disc" (in (to) {cond})))
+        (end ((boardFull) (result Draw))))
+)
+"""
+    for cond, canonical in (("(empty)", True), ("(not (enemy))", False)):
+        source = place.format(cond=cond)
+        engine = LudemicEngine(compile_ludemic(source))
+        assert engine._canonical[1:] == (canonical, canonical), cond
+        walk_against_oracle(source, 0, 9)
+
+
+def test_probe_orders_through_sort_moves():
+    engine = library.make_engine("Hex", "ludemic")
+    assert engine._canonical[1]
+    calls = []
+    sort_moves = engine.sort_moves
+
+    def spy(state, moves, *args):
+        calls.append(args)
+        return sort_moves(state, moves, *args)
+
+    engine.sort_moves = spy
+    moves, _ = engine.probe(engine.initial_state())
+    assert calls == [(True,)] and len(moves) == 121
+
+
+def test_shot_onto_its_own_piece_is_an_unchanged_move():
+    source = """
+(game "Shots"
+ (mode 2)
+ (equipment { (rectBoard 1 5) (queen Each (slide (in (to) (empty)) (then (replay))))
+              (dot None) })
+ (rules (start { (place "Queen1" {0}) (place "Queen2" {4}) (place "Dot0" {3}) })
+        (play (if (even (turn)) (byPiece) (shoot (in (to) (not (friend))) "Dot0")))
+        (end ((stalemated (mover)) (result (next) Win))))
+)
+"""
+    engine = LudemicEngine(compile_ludemic(source))
+    state = engine.initial_state()
+    moves, _ = engine.probe(state)
+    state = engine.apply(state, moves[-1])  # the queen to c1, next to d1
+    moves, _ = engine.probe(state)
+    assert [engine.delta_text(state, m) for m in moves][0] == ";mover=2"
+    assert moves[0].key == engine._keys.no_change(2)
+    for seed in range(4):
+        walk_against_oracle(source, seed, 8)

@@ -1,10 +1,14 @@
 """Macro expansion, and the name checks made as the rules are compiled."""
 
+import time
+
 import pytest
 
-from ggs.rbg import ast
+from ggs import library
+from ggs.rbg import ast, expand
 from ggs.rbg.expand import (
     ArityMismatch,
+    ExpansionTooLarge,
     RbgValidationError,
     RecursionDetected,
     UnknownMacro,
@@ -164,3 +168,39 @@ def test_nesting_is_counted_through_macro_bodies_and_arguments():
     with pytest.raises(RecursionDetected, match="nest deeper than"):
         expand_macros(build("->white m19(up) -> black", passing))
     expand_macros(build("->white m5(up) -> black", passing))
+
+
+def doubling(n):
+    """n macros, each an alternative of two copies of the one before."""
+    return "#m0 = up\n" + "".join(
+        f"#m{i} = (m{i - 1} + m{i - 1})\n" for i in range(1, n + 1)
+    )
+
+
+def expansion_size(text):
+    game = parse_rbg(text)
+    built = [0]
+    expand._expand(game.rules, game.macros, {}, 0, built)
+    return built[0]
+
+
+def test_library_expansions_stay_far_below_the_size_bound():
+    sizes = {
+        entry.name: expansion_size(library.load_description(entry.name, "rbg"))
+        for entry in library.list_games()
+    }
+    # the largest, Reversi, when the bound was set
+    assert max(sizes.values()) == sizes["Reversi"] == 2352
+    assert 20 * max(sizes.values()) < expand.MAX_EXPANDED_NODES
+
+
+def test_doubling_macros_stop_at_the_size_bound():
+    assert expansion_size(source("->white m12 -> black", doubling(12))) < (
+        expand.MAX_EXPANDED_NODES
+    )
+    for n in (15, 16):
+        start = time.perf_counter()
+        with pytest.raises(ExpansionTooLarge, match="more than 50000 nodes"):
+            RbgGame.from_text(source(f"->white m{n} -> black", doubling(n)))
+        assert time.perf_counter() - start < 0.5, n
+    assert issubclass(ExpansionTooLarge, RbgValidationError)
