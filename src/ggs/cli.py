@@ -53,8 +53,10 @@ def _usage_problem(args) -> str | None:
         return f"--seconds must be positive, not {seconds}"
     if getattr(args, "count", 1) < 1:
         return f"--count must be positive, not {args.count}"
-    if getattr(args, "depth", 0) < 0:
-        return f"--depth must be non-negative, not {args.depth}"
+    for flag in ("depth", "walks", "plies", "warmup"):
+        value = getattr(args, flag, 0)
+        if value < 0:
+            return f"--{flag} must be non-negative, not {value}"
     return None
 
 

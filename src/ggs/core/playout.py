@@ -108,9 +108,6 @@ class Engine:
             out += group
         return out
 
-    def legal_moves(self, state: GameState) -> list[Move]:
-        return self.probe(state)[0]
-
 
 @dataclass
 class PlayoutResult:

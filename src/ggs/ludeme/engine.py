@@ -4,18 +4,18 @@ At build the engine compiles the play rule and the end rules into
 closures, one set per mover, so no rule head is dispatched while a game
 is played.  Bound at build time: neighbour tables per direction, the
 player-relative direction maps, one tuple from piece id to that piece's
-move closure, the piece ids of each player, and conditions, which depend
-only on the piece at the tested cell and so compile to a table
-``accepts[piece id]``.
+move closure, the piece ids of each player, per-vertex flip rays and
+adjacency, and conditions, which depend only on the piece at the tested
+cell and so compile to a table ``accepts[piece id]``.
 
 Each generated move carries its canonical ordering key (``Move.key``):
-the ranks of its changed cells, then a sentinel above every rank, then
-the next mover, packed into one integer (see ``_KeyPacker``).  A cell's
-rank is the position of its ``cell:<coord>=<sym>`` token in string
-order, so when no piece symbol is a proper prefix of another the keys
-order moves exactly as their delta texts do and ``sort_moves`` needs no
-text.  Otherwise, and for custodial flips (any number of writes), moves
-are ordered by delta text (``Engine.sort_moves``).
+the sorted ranks of its changed cells, then a sentinel above every rank,
+then the next mover, packed into one integer of fixed width (see
+``_KeyPacker``).  A cell's rank is the position of its
+``cell:<coord>=<sym>`` token in string order, so when no piece symbol is
+a proper prefix of another the keys order moves exactly as their delta
+texts do and ``sort_moves`` needs no text.  Otherwise moves are ordered
+by delta text (``Engine.sort_moves``).
 
 A move whose effects and key depend only on its origin and destination
 is built once and shared by every state that lists it: ``place``,
@@ -25,18 +25,37 @@ moves.  Shared moves are never written.  Two kinds are built fresh in
 every state: a move whose write is a no-op (it writes the piece already
 on the cell, so its key is the unchanged key), and every move of a game
 whose ranks are not in text order, since ``Engine.sort_moves`` writes a
-text key on each move it sorts.
+text key on each move it sorts.  Custodial flips are built fresh, since
+their writes depend on the state.
 
-A generator may declare at build that it lists its moves in canonical
-order, when its tables prove it for every state: ``place`` walks its
-cells in key order and lists no no-op, and ``drop`` lists one move per
-column in column order when every key of a column is below every key of
-the next (true up to 26 columns; file "aa" sorts between "a" and "b").
-``probe`` passes the declaration to ``sort_moves``, which then returns
-the list as it is; every other list is sorted as above.
+Each generator declares at build an ``Order`` its tables prove for every
+state it can list:
+
+- ``CANONICAL``: the list is in key order.  ``place`` walks its cells in
+  key order and lists no no-op; ``drop`` lists one move per column in
+  column order, which is key order when every key of a column is below
+  every key of the next (true up to 26 columns; file "aa" sorts between
+  "a" and "b").
+- ``DISTINCT``: every move carries an integer key and no two are equal,
+  so one sort on the key orders the list.  ``drop`` past 26 columns;
+  ``shoot`` when it cannot shoot onto its own piece; ``byPiece`` when no
+  piece may land on its own kind (such a no-op carries the origin-only
+  key, which two moves from one origin would share) and no piece lists
+  one neighbour table twice (rays in distinct directions from one origin
+  never meet, so only a repeated direction proposes one move twice);
+  ``custodialFlip``, since each move places on its own empty cell.
+- ``UNSORTED``: anything else, ordered by ``Engine.order_by_keys``.
+
+``if_even_turn`` declares the weaker of its branches' orders.  ``probe``
+passes the declaration to ``sort_moves``, which trusts it only when keys
+are ordered.
 """
 
 from __future__ import annotations
+
+from enum import IntEnum
+from functools import cached_property
+from operator import attrgetter
 
 from ..core.model import GameState, Move, NO_VERTEX, apply_effects
 from ..core.playout import Engine
@@ -45,6 +64,19 @@ from .compile import LINE_AXES, RELATIVE_DIRECTIONS, CompiledLudemicGame
 
 class ShootWithoutContext(RuntimeError):
     pass
+
+
+class Order(IntEnum):
+    """What a generator's tables prove about every list it returns; a
+    weaker order has the smaller value."""
+
+    UNSORTED = 0
+    DISTINCT = 1
+    CANONICAL = 2
+
+
+UNSORTED, DISTINCT, CANONICAL = Order
+_BY_KEY = attrgetter("key")
 
 
 def _axis_tables(board) -> tuple:
@@ -70,21 +102,51 @@ def _line_through(axes, contents, last_to: int, piece_ids, n: int) -> bool:
     return False
 
 
-def region_connected(board, contents, piece_ids, side_a, side_b) -> bool:
-    """True iff a chain of the player's stones joins the two sides."""
+def adjacency(board) -> tuple:
+    """The neighbours of each vertex, over every direction."""
+    return tuple(
+        tuple(nv for table in board.neighbors if (nv := table[v]) >= 0)
+        for v in range(board.vertex_count)
+    )
+
+
+def region_connected(adjacent, contents, piece_ids, side_a, side_b) -> bool:
+    """True iff a chain of the player's stones joins the two sides;
+    ``adjacent`` is ``adjacency(board)``."""
+    for v in side_b:
+        if contents[v] in piece_ids:
+            break
+    else:
+        return False
     frontier = [v for v in side_a if contents[v] in piece_ids]
     seen = set(frontier)
-    tables = board.neighbors
     while frontier:
         v = frontier.pop()
         if v in side_b:
             return True
-        for table in tables:
-            nv = table[v]
-            if nv >= 0 and nv not in seen and contents[nv] in piece_ids:
+        for nv in adjacent[v]:
+            if nv not in seen and contents[nv] in piece_ids:
                 seen.add(nv)
                 frontier.append(nv)
     return False
+
+
+def _flip_lines(board) -> tuple:
+    """Per vertex, the cells of each ray out to the board's edge, nearest
+    first; a ray of fewer than two cells can flip nothing and is left out."""
+    lines = []
+    for v in range(board.vertex_count):
+        rays = []
+        for table in board.neighbors:
+            ray = []
+            u = table[v]
+            while u >= 0:
+                ray.append(u)
+                u = table[u]
+            if len(ray) > 1:
+                rays.append(tuple(ray))
+        lines.append(tuple(rays))
+    return tuple(lines)
 
 
 class _KeyPacker:
@@ -129,6 +191,19 @@ class _KeyPacker:
         tail = self.sentinel * b**2 + mover * b
         return tuple(r * b**3 + tail for r in self.ranks(pid))
 
+    def many_changes(self, mover: int) -> tuple:
+        """(tail, pad) for keys of up to one change per vertex.
+
+        The key of a move whose changes have the sorted ranks r1..rk is
+        ``(digits(r1..rk) * base**2 + tail) * pad[k]``: its sequence
+        padded to V + 2 digits, so that these keys compare with each
+        other, not with the narrower ones above.  ``pad[0]`` times
+        ``mover`` is the key of a move that changes no cell.
+        """
+        b = self.base
+        v = len(self._vertices)
+        return self.sentinel * b + mover, tuple(b ** (v - k) for k in range(v + 1))
+
 
 def _fresh(gen):
     """gen, listing copies of its moves instead of the shared ones."""
@@ -158,9 +233,9 @@ class LudemicEngine(Engine):
         plays = [self._compile_play(game.play_rule, p) for p in players]
         if not self._keys.ordered:
             # Engine.sort_moves writes a text key on every move it sorts
-            plays = [(_fresh(gen), canonical) for gen, canonical in plays]
+            plays = [(_fresh(gen), order) for gen, order in plays]
         self._plays = (None,) + tuple(gen for gen, _ in plays)
-        self._canonical = (None,) + tuple(canonical for _, canonical in plays)
+        self._order = (None,) + tuple(order for _, order in plays)
         self._ends = (None,) + tuple(
             tuple(
                 (self._compile_end(cond, p), self._compile_result(result, p))
@@ -186,7 +261,7 @@ class LudemicEngine(Engine):
     def probe(self, state: GameState):
         mover = state.mover
         moves = self.sort_moves(
-            state, self._generate(state, mover), self._canonical[mover]
+            state, self._generate(state, mover), self._order[mover]
         )
         payoffs = self._evaluate_end(state, moves)
         return moves, payoffs
@@ -198,14 +273,18 @@ class LudemicEngine(Engine):
         return self._plays[mover](state)
 
     def sort_moves(
-        self, state: GameState, moves: list[Move], canonical: bool = False
+        self, state: GameState, moves: list[Move], order: Order = UNSORTED
     ) -> list[Move]:
         """Canonical order from the keys the generator attached; by delta
         text when a move carries none or the ranks are not in text order.
-        ``canonical`` says the generator proved at build that it lists
-        its moves in key order; it is trusted only when keys are ordered."""
+        ``order`` is what the generator proved at build about its lists;
+        it is trusted only when keys are ordered.  A ``DISTINCT`` list is
+        sorted in place."""
         if self._keys.ordered:
-            if canonical:
+            if order is CANONICAL:
+                return moves
+            if order is DISTINCT:
+                moves.sort(key=_BY_KEY)
                 return moves
             keys = [m.key for m in moves]
             if None not in keys:
@@ -215,28 +294,27 @@ class LudemicEngine(Engine):
     # -- compilation: play rules ----------------------------------------
 
     def _compile_play(self, rule, mover: int):
-        """(generator, canonical): the closure listing the mover's moves,
-        and whether its tables prove at build that, in every state, it
-        lists them in key order with no two keys equal."""
+        """(generator, order): the closure listing the mover's moves, and
+        the ``Order`` its tables prove at build for every state."""
         head = rule[0]
         if head == "if_even_turn":
-            even, _ = self._compile_play(rule[1], mover)
-            odd, _ = self._compile_play(rule[2], mover)
+            even, even_order = self._compile_play(rule[1], mover)
+            odd, odd_order = self._compile_play(rule[2], mover)
 
             def by_turn(state):
                 return (odd if state.turn_number % 2 else even)(state)
 
-            return by_turn, False
+            return by_turn, min(even_order, odd_order)
         if head == "byPiece":
-            return self._compile_by_piece(mover), False
+            return self._compile_by_piece(mover)
         if head == "shoot":
-            return self._compile_shoot(rule, mover), False
+            return self._compile_shoot(rule, mover)
         if head == "place":
             return self._compile_place(rule, mover)
         if head == "drop":
             return self._compile_drop(rule, mover)
         if head == "custodialFlip":
-            return self._compile_custodial(rule, mover), False
+            return self._compile_custodial(rule, mover), DISTINCT
         raise ValueError(f"unknown play rule {head!r}")
 
     def _writes(self, pid: int) -> tuple:
@@ -269,7 +347,8 @@ class LudemicEngine(Engine):
                 return [m for v, m in table if ok[contents[v]]]
 
             keys = [m.key for _, m in table]
-            return place, all(a < b for a, b in zip(keys, keys[1:]))
+            in_order = all(a < b for a, b in zip(keys, keys[1:]))
+            return place, CANONICAL if in_order else UNSORTED
 
         def place_over(state):
             contents = state.contents
@@ -282,7 +361,7 @@ class LudemicEngine(Engine):
                     out.append(m)
             return out
 
-        return place_over, False
+        return place_over, UNSORTED
 
     def _compile_drop(self, rule, mover: int):
         _, base = rule
@@ -302,9 +381,10 @@ class LudemicEngine(Engine):
         )
         # One move per column, columns in board order: that is key order
         # when every key of a column is below every key of the next.  Past
-        # 26 columns it is not, since file "aa" sorts between "a" and "b".
+        # 26 columns it is not, since file "aa" sorts between "a" and "b",
+        # but the moves still land on distinct cells.
         keys = [[m.key for _, m in column] for column in columns]
-        canonical = all(max(a) < min(b) for a, b in zip(keys, keys[1:]))
+        in_order = all(max(a) < min(b) for a, b in zip(keys, keys[1:]))
 
         def drop(state):
             contents = state.contents
@@ -316,7 +396,7 @@ class LudemicEngine(Engine):
                         break
             return out
 
-        return drop, canonical
+        return drop, CANONICAL if in_order else DISTINCT
 
     def _compile_shoot(self, rule, mover: int):
         _, cond, base, owner = rule
@@ -342,17 +422,23 @@ class LudemicEngine(Engine):
                     v = table[v]
             return out
 
-        return shoot
+        # rays in distinct directions never meet, so only a shot onto pid
+        # (the unchanged key) can repeat a key
+        return shoot, UNSORTED if ok[pid] else DISTINCT
 
     def _compile_by_piece(self, mover: int):
         owner = self._owner
         gens = []
+        order = DISTINCT
         for pid in range(len(self.piece_symbols)):
             pdef = self.game.piece_defs.get(self._base_of.get(pid))
             if owner[pid] != mover or pdef is None or pdef.move_rule is None:
                 gens.append(None)
             else:
-                gens.append(self._compile_piece(pdef, mover, pid))
+                gen, distinct = self._compile_piece(pdef, mover, pid)
+                gens.append(gen)
+                if not distinct:
+                    order = UNSORTED
         gens = tuple(gens)
 
         def by_piece(state):
@@ -364,7 +450,7 @@ class LudemicEngine(Engine):
                     gen(contents, v, out)
             return out
 
-        return by_piece
+        return by_piece, order
 
     def _rays(self, rule, mover: int) -> list:
         """(neighbour table, accepts, slides) per direction of a piece
@@ -393,13 +479,15 @@ class LudemicEngine(Engine):
         raise ValueError(f"unknown piece move rule {head!r}")
 
     def _compile_piece(self, pdef, mover: int, pid: int):
-        """Closure appending the moves of the piece pid at an origin.
+        """(closure appending the moves of the piece pid at an origin,
+        whether no two of those moves can share a key).
 
         Each move empties the origin, which always changes it, and writes
         pid at the destination, a no-op when pid is already there.  An
         origin's moves are built on its first use, one per ray cell with
         its key, and shared from then on; a move onto pid itself is built
-        fresh with its one-change key.
+        fresh with its one-change key, which every such move from the
+        origin shares.
         """
         rays = self._rays(pdef.move_rule, mover)
         replay = pdef.replay
@@ -418,9 +506,9 @@ class LudemicEngine(Engine):
         # An "or" drops moves its sub-rules propose twice.  Rays in
         # distinct directions from one origin never meet, so only a
         # direction listed twice can propose a move twice.
-        repeats = pdef.move_rule[0] == "or" and len(
-            {id(table) for table, _, _ in rays}
-        ) < len(rays)
+        repeated = len({id(table) for table, _, _ in rays}) < len(rays)
+        repeats = repeated and pdef.move_rule[0] == "or"
+        distinct = not repeated and not any(ok[pid] for _, ok, _ in rays)
         rows = [None] * self.board.vertex_count
 
         def row_of(origin):
@@ -461,61 +549,85 @@ class LudemicEngine(Engine):
                         seen.add(m.effects)
                         out.append(m)
 
-        return piece
+        return piece, distinct
+
+    @cached_property
+    def _lines(self) -> tuple:
+        return _flip_lines(self.board)
+
+    @cached_property
+    def _adjacent(self) -> tuple:
+        return adjacency(self.board)
+
+    def _sides(self, player: int) -> tuple:
+        """(enemy, friend): tables over piece ids, as seen by player."""
+        return self._accepts(("enemy",), player), self._accepts(("friend",), player)
 
     def _compile_custodial(self, rule, mover: int):
         _, base = rule
         pid = self.game.piece_instance(base, mover)
-        owner = self._owner
-        tables = self._dir_tables
+        lines = self._lines
+        enemy, friend = self._sides(mover)
         put = self._writes(pid)
-        pass_eff = ("pass", self.next_player(mover))
+        rank = self._keys.ranks(pid)
+        b = self._keys.base
+        nxt = self.next_player(mover)
+        tail, pad = self._keys.many_changes(nxt)
+        pass_eff = ("pass", nxt)
+        pass_move = Move((pass_eff,), False, None, nxt * pad[0])
         others = [
-            p for p in range(1, self.player_count + 1) if p != mover
+            self._sides(p) for p in range(1, self.player_count + 1) if p != mover
         ]
 
         def custodial(state):
             contents = state.contents
             moves = []
-            for v, cell in enumerate(contents):
-                if cell != 0:
+            for v, rays in enumerate(lines):
+                if contents[v]:
                     continue
                 flips = []
-                for table in tables:
-                    run = []
-                    u = table[v]
-                    while u >= 0 and owner[contents[u]] not in (0, mover):
-                        run.append(u)
-                        u = table[u]
-                    if run and u >= 0 and owner[contents[u]] == mover:
-                        flips.extend(run)
+                for ray in rays:
+                    if enemy[contents[ray[0]]]:
+                        for i, u in enumerate(ray):
+                            c = contents[u]
+                            if not enemy[c]:
+                                if friend[c]:
+                                    flips += ray[:i]
+                                break
                 if flips:
                     effects = [put[u] for u in flips]
                     effects.append(put[v])
                     effects.append(pass_eff)
-                    moves.append(Move(tuple(effects)))
+                    ranks = [rank[u] for u in flips]
+                    ranks.append(rank[v])
+                    ranks.sort()
+                    key = 0
+                    for r in ranks:
+                        key = key * b + r
+                    key = (key * b * b + tail) * pad[len(ranks)]
+                    moves.append(Move(tuple(effects), False, None, key))
             if not moves:
                 # pass, but only when some other player could still flip
-                for p in others:
-                    if self._can_flip(contents, p):
-                        return [Move((pass_eff,))]
+                for sides in others:
+                    if self._can_flip(contents, *sides):
+                        return [pass_move]
             return moves
 
         return custodial
 
-    def _can_flip(self, contents, player: int) -> bool:
-        owner = self._owner
-        for v, cell in enumerate(contents):
-            if cell != 0:
+    def _can_flip(self, contents, enemy, friend) -> bool:
+        """Can the player whose ``_sides`` these are flip anything?"""
+        for v, rays in enumerate(self._lines):
+            if contents[v]:
                 continue
-            for table in self._dir_tables:
-                u = table[v]
-                seen_enemy = False
-                while u >= 0 and owner[contents[u]] not in (0, player):
-                    seen_enemy = True
-                    u = table[u]
-                if seen_enemy and u >= 0 and owner[contents[u]] == player:
-                    return True
+            for ray in rays:
+                if enemy[contents[ray[0]]]:
+                    for u in ray:
+                        c = contents[u]
+                        if not enemy[c]:
+                            if friend[c]:
+                                return True
+                            break
         return False
 
     def _accepts(self, cond, mover: int) -> tuple:
@@ -568,8 +680,9 @@ class LudemicEngine(Engine):
             ids = self._ids_of[player]
             a, b = ("top", "bottom") if player == 1 else ("left", "right")
             side_a, side_b = board.sides[a], board.sides[b]
+            adjacent = self._adjacent
             return lambda state, moves: region_connected(
-                board, state.contents, ids, side_a, side_b
+                adjacent, state.contents, ids, side_a, side_b
             )
         if head == "reached":
             player = self._resolve_player(cond[1], mover)

@@ -41,7 +41,6 @@ from ..core.board import (
 )
 from ..core.model import (
     GameState,
-    IllegalMove,
     Move,
     NEUTRAL,
     PieceTable,
@@ -281,13 +280,6 @@ class RbgEngineBase(Engine):
         nxt.control = node
         nxt.current_vertex = vertex
         return nxt
-
-    def apply_checked(self, state: GameState, move: Move) -> GameState:
-        key = (move.effects, move.replay)
-        legal = {(m.effects, m.replay) for m in self.semimoves(state)}
-        if key not in legal:
-            raise IllegalMove("move is not legal in this state")
-        return self.apply(state, move)
 
     def semimoves(self, state: GameState) -> list[Move]:
         """Every semi-move from ``state``, in the walker's preorder.

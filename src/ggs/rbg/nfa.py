@@ -34,10 +34,6 @@ class Nfa:
     # only the accept node itself).
     accepting: frozenset = frozenset()
 
-    @property
-    def node_count(self) -> int:
-        return len(self.edges)
-
 
 class _Builder:
     def __init__(self, resolver, in_check: bool):

@@ -260,9 +260,3 @@ def parse_rbg(source) -> ast.RbgGameDef:
     return _Parser(tokens).parse_game()
 
 
-def parse_pattern_text(text: str) -> ast.Pattern:
-    """Parse a standalone pattern (testing convenience)."""
-    parser = _Parser(tokenize_rbg(text))
-    node = parser.parse_pattern()
-    parser.take("EOF")
-    return node

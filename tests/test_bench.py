@@ -29,7 +29,7 @@ def test_token_rate_direction_for_every_game():
 def test_dedup_moves_collapses_identical_deltas():
     eng = library.make_engine("amazons", "interpreter")
     state = eng.initial_state()
-    moves = eng.legal_moves(state)
+    moves = eng.probe(state)[0]
     deduped = bench.dedup_moves(eng, state, moves)
     assert len(deduped) == len({eng.delta_text(state, m) for m in moves})
 

@@ -33,6 +33,10 @@ def test_bad_game_budget_and_depth_exit_2_on_one_line():
         ("bench", "tictactoe", "--count", "0"),
         ("bench", "tictactoe", "--seconds", "0"),
         ("perft", "tictactoe", "--depth", "-1"),
+        ("xval", "tictactoe", "--walks", "-1"),
+        ("xval", "tictactoe", "--plies", "-5"),
+        ("bench", "tictactoe", "--warmup", "-1"),
+        ("table", "tictactoe", "--warmup", "-2"),
     ):
         proc = run_cli(*args)
         assert proc.returncode == 2, (args, proc.stderr)

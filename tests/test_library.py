@@ -48,7 +48,7 @@ def test_entries_carry_golds_and_symbol_maps():
 def test_make_engine_modes():
     for mode in ("interpreter", "compiled", "ludemic"):
         eng = library.make_engine("tictactoe", mode)
-        assert len(eng.legal_moves(eng.initial_state())) == 9
+        assert len(eng.probe(eng.initial_state())[0]) == 9
     with pytest.raises(ValueError):
         library.make_engine("tictactoe", "quantum")
 
@@ -62,7 +62,7 @@ def test_make_engine_reads_description_files():
     ):
         assert library.is_path(str(path))
         eng = library.make_engine(str(path), mode)
-        assert len(eng.legal_moves(eng.initial_state())) == 9
+        assert len(eng.probe(eng.initial_state())[0]) == 9
     assert not library.is_path("tictactoe")
     with pytest.raises(FileNotFoundError):
         library.make_engine("no/such/game.rbg", "compiled")

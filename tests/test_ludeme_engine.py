@@ -15,7 +15,12 @@ from ggs.core.board import build_hex_board
 from ggs.core.model import NO_VERTEX
 from ggs.core.playout import run_playout
 from ggs.ludeme.compile import compile_ludemic
-from ggs.ludeme.engine import LudemicEngine, ShootWithoutContext, region_connected
+from ggs.ludeme.engine import (
+    LudemicEngine,
+    ShootWithoutContext,
+    adjacency,
+    region_connected,
+)
 
 from ludemic_helpers import detect_line
 
@@ -43,19 +48,19 @@ def test_detect_line_axes():
 def test_drop_targets_lowest_empty():
     eng = engine_for("connect4")
     state = eng.initial_state()
-    moves = eng.legal_moves(state)
+    moves = eng.probe(state)[0]
     # all seven drops land on the bottom row
     dests = sorted(m.destination() for m in moves)
     assert dests == [35, 36, 37, 38, 39, 40, 41]
     after = eng.apply(state, moves[0])
-    second = eng.legal_moves(after)
+    second = eng.probe(after)[0]
     assert sorted(m.destination() for m in second)[0] == 28  # stacked
 
 
 def test_step_rules_for_breakthrough():
     eng = engine_for("breakthrough")
     state = eng.initial_state()
-    moves = eng.legal_moves(state)
+    moves = eng.probe(state)[0]
     assert len(moves) == 22
     # player 1 moves up the board: destinations on row 5
     assert all(40 <= m.destination() <= 47 for m in moves)
@@ -67,7 +72,7 @@ def test_shoot_requires_context():
     state.turn_number = 1  # force the shoot branch with no last_to
     state.last_to = NO_VERTEX
     with pytest.raises(ShootWithoutContext):
-        eng.legal_moves(state)
+        eng.probe(state)[0]
 
 
 def test_custodial_pass_only_when_opponent_can_flip():
@@ -78,12 +83,12 @@ def test_custodial_pass_only_when_opponent_can_flip():
     state = eng.initial_state()
     state.contents = contents
     state.mover = 1
-    moves = eng.legal_moves(state)
+    moves = eng.probe(state)[0]
     assert len(moves) == 1 and moves[0].effects == (("pass", 2),)
     # and with no flip anywhere for either side, no moves at all
     state.contents = [0] * 64
     state.contents[0] = 1
-    assert eng.legal_moves(state) == []
+    assert eng.probe(state)[0] == []
 
 
 # -- tic-tac-toe full-tree oracle ---------------------------------------
@@ -225,7 +230,7 @@ def test_amazons_initial_moves_match_ray_count():
                 count += 1
                 rr, cc = rr + dr, cc + dc
     assert count == 80
-    assert len(eng.legal_moves(state)) == 80
+    assert len(eng.probe(state)[0]) == 80
 
 
 # -- hex connectivity property ------------------------------------------
@@ -257,7 +262,7 @@ def test_region_connected_matches_reference_on_random_fills():
         stones = {v for v in range(size * size) if rng.random() < 0.45}
         contents = [1 if v in stones else 0 for v in range(size * size)]
         got = region_connected(
-            board, contents, frozenset({1}), board.sides["top"], board.sides["bottom"]
+            adjacency(board), contents, frozenset({1}), board.sides["top"], board.sides["bottom"]
         )
         want = hex_connected_reference(
             size, stones, lambda v: v < size, lambda v: v >= size * (size - 1)

@@ -1,6 +1,6 @@
 """Compiled ludemic rules against a tree-walking oracle, the ordering
-keys the compiled generators attach, and the prebuilt moves they share
-between states.
+keys the compiled generators attach, the order each generator declares
+at build, and the prebuilt moves they share between states.
 
 ``TreeWalker`` is a test-only copy of the evaluator the closures replaced:
 it re-dispatches on each rule's head at every call and orders moves by
@@ -24,7 +24,15 @@ from ggs.core.model import (
 from ggs.core.playout import Engine
 from ggs.core.rng import Prng
 from ggs.ludeme.compile import compile_ludemic
-from ggs.ludeme.engine import LudemicEngine, ShootWithoutContext, region_connected
+from ggs.ludeme.engine import (
+    CANONICAL,
+    DISTINCT,
+    UNSORTED,
+    LudemicEngine,
+    ShootWithoutContext,
+    adjacency,
+    region_connected,
+)
 
 from ludemic_helpers import detect_line
 
@@ -46,6 +54,7 @@ class TreeWalker(Engine):
         self.piece_symbols = game.pieces.symbols
         self._owner = game.pieces.owner_of
         self._all_dirs = tuple(range(len(game.board.directions)))
+        self._adjacent = adjacency(game.board)
 
     def initial_state(self):
         contents = [0] * self.board.vertex_count
@@ -261,7 +270,7 @@ class TreeWalker(Engine):
                 player = self._resolve_player(cond[1], mover)
                 a, b = ("top", "bottom") if player == 1 else ("left", "right")
                 fired = region_connected(
-                    self.board,
+                    self._adjacent,
                     state.contents,
                     self._player_piece_ids(player),
                     self.board.sides[a],
@@ -344,6 +353,20 @@ def check_keys(engine, state):
         ]
 
 
+def check_declared_order(engine, state):
+    """A list whose generator declared ``DISTINCT`` or ``CANONICAL`` holds
+    only integer keys, no two equal, and a ``CANONICAL`` one lists them in
+    increasing order."""
+    order = engine._order[state.mover]
+    if order is UNSORTED:
+        return
+    keys = [m.key for m in engine._generate(state, state.mover)]
+    assert all(type(k) is int for k in keys), keys
+    assert len(set(keys)) == len(keys)
+    if order is CANONICAL:
+        assert keys == sorted(keys)
+
+
 def probe_or_error(engine, state):
     try:
         return engine.probe(state)
@@ -368,6 +391,7 @@ def walk_against_oracle(source, seed, plies):
         ]
         assert payoffs == want_payoffs
         check_keys(engine, state)
+        check_declared_order(engine, state)
         if payoffs is not None or not moves:
             return
         state = engine.apply(state, moves[rng.uniform_index(len(moves))])
@@ -551,7 +575,7 @@ def test_non_prefix_free_symbols_order_by_text():
 def test_wide_board_keys_follow_spreadsheet_files():
     source = WIDE_GAME
     engine = LudemicEngine(compile_ludemic(source))
-    moves = engine.legal_moves(engine.initial_state())
+    moves = engine.probe(engine.initial_state())[0]
     texts = [engine.delta_text(engine.initial_state(), m) for m in moves]
     assert texts == sorted(texts)
     assert "cell:aa1=disc1;mover=2" in texts
@@ -619,7 +643,7 @@ def test_no_walk_changes_a_shared_move():
     for name, source in sorted(sources.items()):
         engine = LudemicEngine(compile_ludemic(source))
         shared = shared_moves(engine)
-        assert shared or name == "Reversi", name  # custodial flips are built fresh
+        assert shared, name
         before = snapshot(shared)
         for seed in range(3):
             for _ in walk_sorting_and_deduplicating(engine, seed, plies[name]):
@@ -649,7 +673,8 @@ def test_drop_declares_key_order_only_for_single_letter_files():
     for cols, canonical in ((26, True), (27, False), (52, False)):
         source = DROP_GAME.format(cols=cols)
         engine = LudemicEngine(compile_ludemic(source))
-        assert engine._canonical[1:] == (canonical, canonical), cols
+        order = CANONICAL if canonical else DISTINCT
+        assert engine._order[1:] == (order, order), cols
         walk_against_oracle(source, cols, 2 * cols)
 
 
@@ -663,26 +688,101 @@ def test_place_declares_key_order_only_when_every_write_changes():
         (end ((boardFull) (result Draw))))
 )
 """
-    for cond, canonical in (("(empty)", True), ("(not (enemy))", False)):
+    for cond, order in (("(empty)", CANONICAL), ("(not (enemy))", UNSORTED)):
         source = place.format(cond=cond)
         engine = LudemicEngine(compile_ludemic(source))
-        assert engine._canonical[1:] == (canonical, canonical), cond
+        assert engine._order[1:] == (order, order), cond
         walk_against_oracle(source, 0, 9)
 
 
 def test_probe_orders_through_sort_moves():
-    engine = library.make_engine("Hex", "ludemic")
-    assert engine._canonical[1]
-    calls = []
-    sort_moves = engine.sort_moves
+    # a declared list still crosses sort_moves, the traced order layer
+    for name, order, count in (
+        ("Hex", CANONICAL, 121),
+        ("Amazons", DISTINCT, 80),
+        ("Reversi", DISTINCT, 4),
+    ):
+        engine = library.make_engine(name, "ludemic")
+        assert engine._order[1] is order, name
+        calls = []
+        sort_moves = engine.sort_moves
 
-    def spy(state, moves, *args):
-        calls.append(args)
-        return sort_moves(state, moves, *args)
+        def spy(state, moves, *args):
+            calls.append(args)
+            return sort_moves(state, moves, *args)
 
-    engine.sort_moves = spy
-    moves, _ = engine.probe(engine.initial_state())
-    assert calls == [(True,)] and len(moves) == 121
+        engine.sort_moves = spy
+        state = engine.initial_state()
+        moves, _ = engine.probe(state)
+        assert calls == [(order,)] and len(moves) == count, name
+        want = reference_order(engine, state, engine._generate(state, 1))
+        assert [m.effects for m in moves] == [m.effects for m in want], name
+
+
+def test_amazons_if_even_turn_is_distinct_in_both_branches():
+    engine = library.make_engine("Amazons", "ludemic")
+    assert engine._order[1:] == (DISTINCT, DISTINCT)
+    state = engine.initial_state()
+    moves, _ = engine.probe(state)
+    state = engine.apply(state, moves[0])  # the same queen now shoots
+    assert state.turn_number % 2 == 1
+    shots, _ = engine.probe(state)
+    keys = [m.key for m in shots]
+    assert shots and keys == sorted(keys) and len(set(keys)) == len(keys)
+
+
+PIECE_GAME = """
+(game "Pieces"
+ (mode 2)
+ (equipment {{ (rectBoard 3 4) (rook Each {rule}) }})
+ (rules (start {{ (place "Rook1" {{0 1 5}}) (place "Rook2" {{10 11}}) }})
+        (play {play})
+        (end ((stalemated (mover)) (result (next) Win))))
+)
+"""
+
+
+def test_by_piece_is_distinct_only_when_no_move_can_repeat_a_key():
+    cases = (
+        ("(slide (in (to) (empty)))", DISTINCT),
+        ("(step {up down left} (in (to) (or (empty) (enemy))))", DISTINCT),
+        # may land on its own kind: every such move carries the key of
+        # emptying its origin alone
+        ("(slide (in (to) (not (enemy))))", UNSORTED),
+        ("(step {up right} (in (to) (friend)))", UNSORTED),
+        # one neighbour table twice, directly or through forward = up
+        ("(step {up up} (in (to) (empty)))", UNSORTED),
+        ("(or (step {up} (in (to) (empty))) (step {forward} (in (to) (empty))))",
+         UNSORTED),
+        ("(or (slide (in (to) (empty)) {left}) (step {left} (in (to) (empty))))",
+         UNSORTED),
+    )
+    for rule, order in cases:
+        for play, want in (
+            ("(byPiece)", order),
+            ('(if (even (turn)) (byPiece) (place "Rook" (in (to) (empty))))', order),
+        ):
+            source = PIECE_GAME.format(rule=rule, play=play)
+            engine = LudemicEngine(compile_ludemic(source))
+            assert engine._order[1] is want, (rule, play)
+            for seed in range(3):
+                walk_against_oracle(source, seed, 10)
+
+
+def test_shoot_is_distinct_unless_it_can_shoot_onto_its_piece():
+    shots = """
+(game "Shots"
+ (mode 2)
+ (equipment {{ (rectBoard 1 5) (queen Each (slide (in (to) (empty)) (then (replay))))
+              (dot None) }})
+ (rules (start {{ (place "Queen1" {{0}}) (place "Queen2" {{4}}) }})
+        (play (if (even (turn)) (byPiece) (shoot (in (to) {cond}) "Dot0")))
+        (end ((stalemated (mover)) (result (next) Win))))
+)
+"""
+    for cond, order in (("(empty)", DISTINCT), ("(not (friend))", UNSORTED)):
+        engine = LudemicEngine(compile_ludemic(shots.format(cond=cond)))
+        assert engine._order[1:] == (order, order), cond
 
 
 def test_shot_onto_its_own_piece_is_an_unchanged_move():

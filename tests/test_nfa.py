@@ -16,6 +16,10 @@ ALPHABET = ["up", "down", "left"]
 LETTER = {"up": "u", "down": "d", "left": "l"}
 
 
+def node_count(nfa):
+    return len(nfa.edges)
+
+
 class ShiftContext:
     """Resolver mapping the three direction names to symbol indices."""
 
@@ -109,7 +113,7 @@ def test_elimination_preserves_node_ids():
     ctx = ShiftContext()
     nfa = build_nfa(ast.Alt((ast.Name("up"), ast.Name("down"))), ctx)
     slim = eliminate_epsilon(nfa)
-    assert slim.node_count == nfa.node_count
+    assert node_count(slim) == node_count(nfa)
     assert slim.start == nfa.start and slim.accept == nfa.accept
 
 

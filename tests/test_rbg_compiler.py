@@ -224,11 +224,11 @@ def test_control_points_are_shared():
     compiled = RbgCompiledEngine(game)
     state = interp.initial_state()
     by_delta_i = {
-        interp.delta_text(state, m): m.control for m in interp.legal_moves(state)
+        interp.delta_text(state, m): m.control for m in interp.probe(state)[0]
     }
     by_delta_c = {
         compiled.delta_text(state, m): m.control
-        for m in compiled.legal_moves(state)
+        for m in compiled.probe(state)[0]
     }
     assert by_delta_i == by_delta_c
 

@@ -76,12 +76,20 @@ def test_rules_must_open_with_switch():
         micro_game([["e", "e"]], "( right [w] -> q )*")
 
 
+def apply_checked(engine, state, move):
+    """``engine.apply``, after checking that move is one of its semi-moves."""
+    legal = {(m.effects, m.replay) for m in engine.semimoves(state)}
+    if (move.effects, move.replay) not in legal:
+        raise IllegalMove("move is not legal in this state")
+    return engine.apply(state, move)
+
+
 def test_apply_checked_rejects_foreign_move():
     game = micro_game([["e", "e"]], "->p ( right [w] -> q )*")
     eng = RbgInterpreterEngine(game)
     state = eng.initial_state()
     with pytest.raises(IllegalMove):
-        eng.apply_checked(state, Move((("cell", 0, 2), ("pass", 2))))
+        apply_checked(eng, state, Move((("cell", 0, 2), ("pass", 2))))
 
 
 def test_stalemate_payoffs_from_variables():
@@ -448,7 +456,7 @@ def test_semimoves_repeats_no_lookahead_query(engine_cls):
     eng = engine_cls(game)
     state = eng.initial_state()
     for _ in range(2):
-        state = eng.apply(state, eng.legal_moves(state)[0])
+        state = eng.apply(state, eng.probe(state)[0][0])
     queries = []
     exists = eng._exists
 

@@ -3,13 +3,22 @@
 import pytest
 
 from ggs.rbg import ast
+from ggs.rbg.lexer import tokenize_rbg
 from ggs.rbg.parser import (
     DuplicateSection,
     ParseError,
     RaggedBoard,
-    parse_pattern_text,
+    _Parser,
     parse_rbg,
 )
+
+
+def parse_pattern_text(text):
+    """Parse a standalone pattern."""
+    parser = _Parser(tokenize_rbg(text))
+    node = parser.parse_pattern()
+    parser.take("EOF")
+    return node
 
 MINIMAL = """
 #players = white(100), black(100)
