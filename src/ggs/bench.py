@@ -86,7 +86,12 @@ def dedup_moves(engine, state, moves):
 
 def perft(engine, depth: int, state=None, _memo=None) -> int:
     """Decision-sequence count to the given depth, terminal states
-    counted as leaves; move lists are delta-deduplicated."""
+    counted as leaves; move lists are delta-deduplicated.
+
+    Every child at the last ply is a leaf that counts 1, terminal or
+    not, so a non-terminal state at depth 1 counts its deduplicated
+    ``probe`` list without applying a move.
+    """
     if depth < 0:
         raise ValueError("depth must be non-negative")
     if state is None:
@@ -103,6 +108,8 @@ def perft(engine, depth: int, state=None, _memo=None) -> int:
         moves, payoffs = engine.probe(state)
         if payoffs is not None:
             result = 1
+        elif depth == 1:
+            result = len(dedup_moves(engine, state, moves))
         else:
             result = sum(
                 perft(engine, depth - 1, engine.apply(state, m), _memo)

@@ -10,9 +10,10 @@ distinct effect sequence gets an interned id within the call, so a
 configuration key costs O(1) however long the sequence, and no rule
 needs deep recursion.  Writes are undone by entries on the same stack.
 A semi-move is emitted at every EMIT (a switch edge); move identity is
-the emitted effect sequence, and its control point is the automaton node
-after the switch, taken from the first path the walk's preorder reaches
-it by.  A cap on the effect sequence stops runaway rules.
+the emitted effect sequence, and its control point is the smallest
+(automaton node after the switch, vertex) that any path emitting it
+reaches, so it does not depend on the order a program searches in.  A
+cap on the effect sequence stops runaway rules.
 In the compiled program a JUMPS instruction stands for a whole region
 of FORK and SHIFT steps: it looks up the region's exits from the
 current vertex (built on first use, in the order stepping through the
@@ -380,13 +381,17 @@ class RbgEngineBase(Engine):
                             "runaway effect sequence in rules pattern", idx, vertex
                         )
                 elif op == EMIT:
-                    if (eid, instr[1]) not in found:
+                    control = (instr[2], vertex)
+                    move = found.get((eid, instr[1]))
+                    if move is None:
                         if instr[1] is None:
                             seq, replay = tuple(effects), True
                         else:
                             seq = tuple(effects) + (("pass", instr[1]),)
                             replay = False
-                        found[eid, instr[1]] = Move(seq, replay, (instr[2], vertex))
+                        found[eid, instr[1]] = Move(seq, replay, control)
+                    elif control < move.control:
+                        move.control = control
                     break
                 elif op == CHECK:
                     query = (instr[2], vertex, eid)

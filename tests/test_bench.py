@@ -10,6 +10,8 @@ from ggs.core.rng import Prng
 from ggs.ludeme.compile import compile_ludemic
 from ggs.ludeme.engine import LudemicEngine
 
+from test_library import perft as applying_perft
+
 
 def test_count_tokens_examples():
     assert bench.count_tokens("(mode 2)", "ludemic") == 4
@@ -41,6 +43,62 @@ def test_perft_depths():
     assert bench.perft(eng, 2) == 72
     with pytest.raises(ValueError):
         bench.perft(eng, -1)
+
+
+def count_applies(engine):
+    """Wrap ``engine.apply`` on the instance; the list grows by one per
+    call."""
+    calls = []
+
+    def counted(state, move, apply=engine.apply):
+        calls.append(move)
+        return apply(state, move)
+
+    engine.apply = counted
+    return calls
+
+
+@pytest.mark.parametrize("mode", bench.MODES)
+@pytest.mark.parametrize("game,root", [("tictactoe", 9), ("amazons", 80)])
+def test_perft_frontier_applies_no_move(game, root, mode):
+    eng = library.make_engine(game, mode)
+    calls = count_applies(eng)
+    assert bench.perft(eng, 1) == root
+    assert calls == []
+    # depth 2 applies each distinct root delta once, and no move below
+    state = eng.initial_state()
+    distinct = bench.dedup_moves(eng, state, eng.probe(state)[0])
+    assert len(distinct) == root
+    bench.perft(eng, 2)
+    assert len(calls) == root
+
+
+def play_cells(engine, vertices):
+    """Play the placement onto each vertex in turn."""
+    state = engine.initial_state()
+    for v in vertices:
+        (move,) = [m for m in engine.probe(state)[0] if m.destination() == v]
+        state = engine.apply(state, move)
+    return state
+
+
+@pytest.mark.parametrize("mode", bench.MODES)
+def test_perft_frontier_counts_terminal_children_once(mode):
+    # o holds a2 and b2 and is to move: c2 wins for o, and the other
+    # placements do not end the game
+    eng = library.make_engine("tictactoe", mode)
+    cell = eng.board.encode_coord
+    vertices = {cell(v): v for v in range(eng.board.vertex_count)}
+    state = play_cells(eng, [vertices[c] for c in ("a1", "a2", "b1", "b2", "a3")])
+    assert state.mover == 2
+    children = [
+        eng.apply(state, m)
+        for m in bench.dedup_moves(eng, state, eng.probe(state)[0])
+    ]
+    terminal = [c for c in children if eng.probe(c)[1] is not None]
+    assert 0 < len(terminal) < len(children)
+    for depth in (1, 2):
+        assert bench.perft(eng, depth, state) == applying_perft(eng, state, depth)
 
 
 def test_bench_playouts_deterministic_fields():

@@ -1,9 +1,12 @@
-"""Source hygiene: no module under ``src/ggs`` imports a name it never uses."""
+"""Source hygiene: no module under ``src/ggs`` or ``tests`` imports a name
+it never uses."""
 
 import ast
 from pathlib import Path
 
-SOURCE = Path(__file__).resolve().parent.parent / "src" / "ggs"
+TESTS = Path(__file__).resolve().parent
+ROOT = TESTS.parent
+SOURCE = ROOT / "src" / "ggs"
 
 
 def unused_imports(tree: ast.Module) -> list[str]:
@@ -22,13 +25,13 @@ def unused_imports(tree: ast.Module) -> list[str]:
 
 
 def test_every_imported_name_is_used():
-    modules = sorted(SOURCE.rglob("*.py"))
+    modules = sorted(SOURCE.rglob("*.py")) + sorted(TESTS.glob("*.py"))
     assert modules
     found = {}
     for path in modules:
         unused = unused_imports(ast.parse(path.read_text(), str(path)))
         if unused:
-            found[str(path.relative_to(SOURCE))] = unused
+            found[str(path.relative_to(ROOT))] = unused
     assert not found, found
 
 

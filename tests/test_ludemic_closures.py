@@ -456,7 +456,11 @@ def move_rules(draw, dirs, depth=0):
     if kind == "slide":
         # only step resolves the player-relative directions
         dirs = tuple(d for d in dirs if not d.startswith("forward"))
-    chosen = draw(st.lists(st.sampled_from(dirs), min_size=1, max_size=3))
+    # Repeated directions still come from "or" parts and forward = up.
+    # Drawn within one list too, they made two rules in three repeat one,
+    # and a repeat declares the piece UNSORTED whatever else it can do.
+    chosen = draw(st.lists(st.sampled_from(dirs), min_size=1, max_size=3,
+                           unique=True))
     cond = f"(in (to) {draw(conditions())})"
     if kind == "step":
         return f"(step {{{' '.join(chosen)}}} {cond})"
@@ -471,7 +475,7 @@ def micro_games(draw):
     play_kind = draw(st.sampled_from(kinds if hexagonal else kinds + ["drop"]))
     if hexagonal:
         size = draw(st.integers(2, 5))
-        board, cells = f"(hexBoard {size})", size * size
+        board, rows, cols = f"(hexBoard {size})", size, size
         dirs = HEX_DIRS
     else:
         rows = draw(st.integers(1, 4))
@@ -481,8 +485,9 @@ def micro_games(draw):
             # key order: the build-time check of a canonical generator
             widths += [26, 52]
         cols = draw(st.sampled_from(widths))
-        board, cells = f"(rectBoard {rows} {cols})", rows * cols
+        board = f"(rectBoard {rows} {cols})"
         dirs = RECT_DIRS
+    cells = rows * cols
     mover_name, other_name = draw(st.sampled_from(NAME_SETS))
     m, o = mover_name.capitalize(), other_name.capitalize()
     rule = draw(move_rules(dirs))
@@ -496,11 +501,28 @@ def micro_games(draw):
     else:
         pieces += f" ({other_name} Each {draw(move_rules(dirs))})"
         instances += [f"{o}1", f"{o}2"]
-    vertices = draw(st.lists(st.integers(0, cells - 1), unique=True,
-                             min_size=min(cells, 2), max_size=min(cells, 12)))
+    # Three games in four put the first mover's piece on a cell and on
+    # every cell around it (both boards number cells row by row), so a
+    # piece that may land on its own kind can do so in several directions
+    # from one origin, the moves that share a key.
+    block = []
+    if draw(st.integers(0, 3)):
+        r, c = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+        block = [
+            y * cols + x
+            for y in range(max(r - 1, 0), min(r + 2, rows))
+            for x in range(max(c - 1, 0), min(c + 2, cols))
+        ]
+    rest = [v for v in range(cells) if v not in block]
+    vertices = draw(st.lists(st.sampled_from(rest), unique=True,
+                             min_size=min(len(rest), 2),
+                             max_size=min(len(rest), 12))) if rest else []
     placements = " ".join(
-        f'(place "{instances[i % len(instances)]}" {{{v}}})'
-        for i, v in enumerate(vertices)
+        [f'(place "{m}1" {{{v}}})' for v in block]
+        + [
+            f'(place "{instances[i % len(instances)]}" {{{v}}})'
+            for i, v in enumerate(vertices)
+        ]
     )
     plays = {
         "byPiece": "(byPiece)",

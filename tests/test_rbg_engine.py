@@ -479,7 +479,7 @@ def test_semimoves_repeats_no_lookahead_query(engine_cls):
 def recursive_semimoves(eng, state):
     """The semi-move walk as one recursive call per configuration, kept
     as the reference for the order of the moves ``semimoves`` emits and
-    for each move's first-found control point."""
+    for each move's control point, the smallest any of its paths reaches."""
     prog = eng.program
     instrs = prog.instrs
     shift = prog.shift_table
@@ -540,8 +540,11 @@ def recursive_semimoves(eng, state):
                 seq, replay = tuple(effects), True
             else:
                 seq, replay = tuple(effects) + (("pass", instr[1]),), False
+            control = (instr[2], vertex)
             if (seq, replay) not in found:
-                found[seq, replay] = Move(seq, replay, (instr[2], vertex))
+                found[seq, replay] = Move(seq, replay, control)
+            elif control < found[seq, replay].control:
+                found[seq, replay].control = control
         elif op == CHECK:
             query = (instr[2], vertex, so_far)
             if query not in lookahead:
