@@ -19,6 +19,13 @@ or a SHIFT becomes a JUMPS where the program enters it.  The JUMPS
 stands for the node's region, the FORK and SHIFT steps reachable from
 it through FORK and SHIFT alone, which go into ``region`` under negative
 ids; its table gives the exits the region reaches from each vertex.
+Two more folds are made only there.  A SET/ASSIGN edge that starts a
+chain of such edges, one per node, ending in a switch or keep becomes a
+TAIL, which emits the move the chain would build without stepping
+through it.  A check whose body reaches only FORK, SHIFT, JUMPS and
+ACCEPT reads no cell and writes nothing, so its answer depends only on
+the vertex: it becomes a VCHECK, which keeps its body's answers per
+vertex.
 Nothing the program cannot reach is lowered, so every instruction index
 is final when it is allocated and no pass renumbers the program.
 """
@@ -41,6 +48,11 @@ CHECK = 8     # (CHECK, positive, sub_entry, pure, next, sub_nfa)
 ACCEPT = 9    # (ACCEPT,)
 JUMPS = 10    # (JUMPS, table, region_start)  table: vertex -> (exit
 #               indices, exit vertices), filled on first use
+TAIL = 11     # (TAIL, writes, player_or_None, control_node, table)  writes:
+#               ((SET, piece) | (ASSIGN, assigns), ...); table: vertex ->
+#               the effects the writes make there, filled on first use
+VCHECK = 12   # (VCHECK, positive, sub_entry, answers, next, sub_nfa)
+#               answers: vertex -> body found, shared by the body's checks
 # Retired with the guarded-shift and ray-scan passes (jump tables made
 # them slower than no pass); no lowering emits them, but external
 # listings such as perfbench's still name them.
@@ -57,6 +69,8 @@ _NAMES = {
     CHECK: "check",
     ACCEPT: "accept",
     JUMPS: "jumps",
+    TAIL: "emit",
+    VCHECK: "check",
 }
 
 
@@ -103,6 +117,17 @@ class LoweredProgram:
         return interned.setdefault(idxs, idxs), interned.setdefault(verts, verts)
 
 
+def tail_effects(writes: tuple, vertex: int) -> tuple:
+    """The effects a TAIL's ``writes`` make at ``vertex``, in order."""
+    effects: list = []
+    for op, arg in writes:
+        if op == SET:
+            effects.append(("cell", vertex, arg))
+        else:
+            effects.extend(("var", n, v) for n, v in arg)
+    return tuple(effects)
+
+
 def region_exits(program: LoweredProgram, start: int) -> tuple[int, tuple]:
     """(size, exits) of the region a JUMPS at region step ``start`` stands
     for: how many FORK/SHIFT steps it holds, and every instruction it can
@@ -126,15 +151,27 @@ class _Lowerer:
     """Lowers what the program reaches from its roots, each node once,
     numbered in the order the lowering reaches it.  With ``jumps`` a
     node whose instruction would be a FORK or a SHIFT becomes a JUMPS,
-    and its region's FORK and SHIFT steps go into ``region``."""
+    and its region's FORK and SHIFT steps go into ``region``; a write
+    chain ending in a switch or keep becomes a TAIL, and a check on a
+    body that reads no cell becomes a VCHECK."""
 
     def __init__(self, jumps: bool):
         self.jumps = jumps
         self.instrs: list = []
         self.bodies: dict[int, int] = {}  # id(sub Nfa) -> entry index
         self.region: dict = {}  # region id (< 0) -> FORK or SHIFT step
+        # id(sub Nfa) -> the answers its VCHECKs share, or None for a
+        # body that reads a cell, writes or nests a check
+        self.answers: dict[int, dict | None] = {}
+        # (writes, player, control node) -> the TAIL that emits them
+        self.tails: dict = {}
 
     def add(self, instr) -> int:
+        """A new instruction's index; equal TAILs share one."""
+        if instr[0] == TAIL:
+            i = self.tails.setdefault(instr[1:4], len(self.instrs))
+            if i < len(self.instrs):
+                return i
         self.instrs.append(instr)
         return len(self.instrs) - 1
 
@@ -187,8 +224,17 @@ class _Lowerer:
                     branches.append(~len(region))
                     region[branches[-1]] = shifted
                 else:
-                    branches.append(self.add(self._edge(label, target, at)))
+                    branches.append(self.add(edge(label, target)))
             return (FORK, tuple(branches))
+
+        def edge(label, target: int) -> tuple:
+            """The instruction for an action edge: with ``jumps``, a write
+            chain in the main automaton that ends in a switch or keep is
+            one TAIL."""
+            return (
+                jumps and not sub and self._tail(edges, label, target)
+                or self._edge(label, target, at)
+            )
 
         entry = {n: at(n) for n in roots}
         while todo:
@@ -207,13 +253,55 @@ class _Lowerer:
             if jumps and moves_only(n):
                 instr = (JUMPS, {}, step(n))
             elif len(out) == 1 and not accepts and out[0][0][0] != "eps":
-                instr = self._edge(*out[0], at)
+                instr = edge(*out[0])
             elif accepts and not out:
                 instr = (ACCEPT,)
             else:
                 instr = fork(n, at)
             instrs[index[n]] = instr
+            if instr[0] == TAIL:
+                self.tails.setdefault(instr[1:4], index[n])
         return entry
+
+    @staticmethod
+    def _tail(edges, label, target: int):
+        """An edge of the main automaton as a TAIL, when it and the edges
+        after it are SET/ASSIGN edges, one per node, up to a node whose
+        one edge is a switch or keep; otherwise None."""
+        writes: list = []
+        seen = set()
+        while True:
+            kind = label[0]
+            if kind == "set":
+                writes.append((SET, label[1]))
+            elif kind == "assign":
+                writes.append((ASSIGN, label[1]))
+            elif kind in ("switch", "keep") and writes:
+                player = label[1] if kind == "switch" else None
+                return (TAIL, tuple(writes), player, target, {})
+            else:
+                return None
+            if target in seen or len(edges[target]) != 1:
+                return None
+            seen.add(target)
+            (label, target), = edges[target]
+
+    def _reads_nothing(self, entry: int) -> bool:
+        """Whether the body lowered at ``entry`` reaches only JUMPS and
+        ACCEPT, JUMPS exits included: it reads no cell, writes nothing
+        and nests no check, so its answer depends only on the vertex."""
+        stack, seen = [entry], set()
+        while stack:
+            i = stack.pop()
+            if i in seen:
+                continue
+            seen.add(i)
+            instr = self.instrs[i]
+            if instr[0] == JUMPS:  # the lowerer holds the program's region
+                stack.extend(region_exits(self, instr[2])[1])
+            elif instr[0] != ACCEPT:
+                return False
+        return True
 
     def _edge(self, label, target: int, at) -> tuple:
         kind = label[0]
@@ -227,6 +315,12 @@ class _Lowerer:
             if entry is None:
                 entry = self.lower_nfa(sub, True, (sub.start,))[sub.start]
                 self.bodies[id(sub)] = entry
+                self.answers[id(sub)] = (
+                    {} if self.jumps and self._reads_nothing(entry) else None
+                )
+            answers = self.answers[id(sub)]
+            if answers is not None:
+                return (VCHECK, label[1], entry, answers, at(target), sub)
             return (CHECK, label[1], entry, label[3], at(target), sub)
         nxt = at(target)
         if kind == "shift":
@@ -244,8 +338,10 @@ def lower(nfa: Nfa, board, optimize: bool) -> LoweredProgram:
     """Lower what an automaton's control nodes (switch and keep targets)
     reach into an instruction program whose ``entry`` maps those nodes.
     With ``optimize`` (the compiled executor) epsilon edges are
-    eliminated first and FORK/SHIFT regions become jump tables; without
-    it (the interpreter) the automaton is lowered as it is."""
+    eliminated first, FORK/SHIFT regions become jump tables, write chains
+    before a switch become TAILs and checks on bodies that read no cell
+    become VCHECKs; without it (the interpreter) the automaton is lowered
+    as it is."""
     if optimize:
         nfa = eliminate_epsilon(nfa)
     controls = sorted({
@@ -283,15 +379,23 @@ def dump_ir(program: LoweredProgram) -> str:
         elif op == EMIT:
             who = "keep" if instr[1] is None else f"player{instr[1]}"
             lines.append(f"{i:4d}: {name} {who} @node{instr[2]}")
+        elif op == TAIL:
+            who = "keep" if instr[2] is None else f"player{instr[2]}"
+            writes = ", ".join(
+                f"set p{arg}" if w == SET
+                else "assign " + ",".join(f"{n}={v}" for n, v in arg)
+                for w, arg in instr[1]
+            )
+            lines.append(f"{i:4d}: {name} {who} @node{instr[3]} <- {writes}")
         elif op == JUMPS:
             size, exits = region_exits(program, instr[2])
             targets = " ".join(str(t) for t in exits)
             lines.append(f"{i:4d}: {name} ({size} fork/shift) -> [{targets}]")
-        elif op == CHECK:
+        elif op in (CHECK, VCHECK):
             sign = "?" if instr[1] else "!"
-            pure = "pure" if instr[3] else "impure"
+            body = "vertex" if op == VCHECK else "pure" if instr[3] else "impure"
             lines.append(
-                f"{i:4d}: {name}{sign} sub@{instr[2]} ({pure}) -> {instr[4]}"
+                f"{i:4d}: {name}{sign} sub@{instr[2]} ({body}) -> {instr[4]}"
             )
         else:
             lines.append(f"{i:4d}: {name}")

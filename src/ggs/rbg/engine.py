@@ -18,7 +18,10 @@ In the compiled program a JUMPS instruction stands for a whole region
 of FORK and SHIFT steps: it looks up the region's exits from the
 current vertex (built on first use, in the order stepping through the
 region would reach them) and tests an exit that is an ON in place, so
-movement such as ``anySquare`` costs one walker step.
+movement such as ``anySquare`` costs one walker step.  A TAIL stands for
+a chain of writes that ends in a switch or keep: it extends the effect
+id by the chain's effects at the current vertex (built on first use)
+and emits the move, with no board write or undo entry.
 
 Lookahead checks run ``_exists`` on the check body's sub-automaton, which
 equal bodies share, starting from its lowered entry.  Within one
@@ -27,7 +30,9 @@ effect id), so ``{? b}`` and ``{! b}`` at one configuration cost one
 search.  Every body, with or without writes, is searched with an
 explicit stack over (instruction, vertex, net tentative writes), so a
 body's loops need no separate guard; a budget on write expansions stops
-runaway bodies.
+runaway bodies.  A body that reads no cell (a VCHECK in the compiled
+program, such as ``{! up}``) is searched once per vertex for the
+engine's lifetime, and its answer is kept in the instruction.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ from .compiler import (
     ON,
     SET,
     SHIFT,
+    TAIL,
+    VCHECK,
+    tail_effects,
 )
 from .expand import RbgValidationError, UnknownMacro, expand_macros
 from .nfa import Nfa, build_nfa
@@ -403,6 +411,37 @@ class RbgEngineBase(Engine):
                     if hit != instr[1]:
                         break
                     idx = instr[4]
+                elif op == TAIL:
+                    tail = instr[4].get(vertex)
+                    if tail is None:
+                        tail = instr[4][vertex] = tail_effects(instr[1], vertex)
+                    if len(effects) + len(tail) > cap:
+                        raise RunawaySearch(
+                            "runaway effect sequence in rules pattern", idx, vertex
+                        )
+                    for effect in tail:
+                        eid = ids.setdefault((eid, effect), len(ids) + 1)
+                    control = (instr[3], vertex)
+                    move = found.get((eid, instr[2]))
+                    if move is None:
+                        if instr[2] is None:
+                            seq, replay = tuple(effects) + tail, True
+                        else:
+                            seq = tuple(effects) + tail + (("pass", instr[2]),)
+                            replay = False
+                        found[eid, instr[2]] = Move(seq, replay, control)
+                    elif control < move.control:
+                        move.control = control
+                    break
+                elif op == VCHECK:
+                    hit = instr[3].get(vertex)
+                    if hit is None:
+                        hit = instr[3][vertex] = self._exists(
+                            instr[5], vertex, contents, variables, True
+                        )
+                    if hit != instr[1]:
+                        break
+                    idx = instr[4]
                 else:  # ACCEPT, unreachable in the main program
                     break
         return list(found.values())
@@ -474,7 +513,16 @@ class RbgEngineBase(Engine):
                     ) != instr[1]:
                         continue
                     nxt = (instr[4], v, writes)
-                else:  # SET or ASSIGN; EMIT cannot occur inside checks
+                elif op == VCHECK:
+                    hit = instr[3].get(v)
+                    if hit is None:
+                        hit = instr[3][v] = self._exists(
+                            instr[5], v, contents, variables, True
+                        )
+                    if hit != instr[1]:
+                        continue
+                    nxt = (instr[4], v, writes)
+                else:  # SET or ASSIGN; EMIT and TAIL cannot occur in checks
                     budget -= 1
                     if budget < 0:
                         raise RunawaySearch("runaway mutation in lookahead", idx, v)

@@ -3,6 +3,7 @@
 import hashlib
 import random
 from collections import Counter
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -17,15 +18,29 @@ from ggs.rbg.compiler import (
     FORK,
     JUMPS,
     SHIFT,
+    TAIL,
+    VCHECK,
     LoweredProgram,
+    _Lowerer,
     dump_ir,
     lower,
     region_exits,
 )
-from ggs.rbg.engine import RbgCompiledEngine, RbgGame, RbgInterpreterEngine
+from ggs.rbg.engine import (
+    RbgCompiledEngine,
+    RbgGame,
+    RbgInterpreterEngine,
+    RunawaySearch,
+)
 from ggs.rbg.nfa import eliminate_epsilon
 
-from test_rbg_engine import PIECES, micro_game, random_micro_pattern, render
+from test_rbg_engine import (
+    PIECES,
+    micro_game,
+    random_fold_shapes,
+    random_micro_pattern,
+    render,
+)
 
 MICRO_RAY = """
 #players = p(100), q(100)
@@ -54,19 +69,19 @@ def test_dump_ir_is_byte_stable():
 # entry-map item, sorted by node: the whole program as numbered.
 LOWERED_GOLDEN = {
     "Amazons":
-        "5bc5128e4fb5e4049382abbde821c652e86ea60bff89de571c9a6c28a0fd18f9",
+        "1b9768eda13777f3c398a411b15a2b3173f1ad42e53f74f86c903dab1acecb49",
     "Breakthrough":
-        "04526fcaa17151c4b3e645d070787a50fc65119d349fa1ffa66861e585fd1a80",
+        "cc22530c69b1e2ffe74c6110d89113483dd0696e4099c19546c085b6ef3d136a",
     "Connect-4":
-        "3fc0042330d9817953f3d9b4d7a641e63f5a4b17ae2488b612982b485de9c9a4",
+        "02f11537c9f632e9cb16bfd969223ad5c14e87ecde2d53e5380886bde22865e4",
     "Gomoku":
-        "c8961239f4ad55aff32ca6b6887c6c894135b6ceb065e568ae46884f0d626200",
+        "039576bcb756c457ef30728f25a8fe88d34ea15324843cb657a7200e55af2325",
     "Hex":
-        "03a84c1ccd65e84e5b42f12cb4878021c7764956c39028cb5c1895bb4991630a",
+        "0ef0f48ad110ec9e430078c9baf1921c1fca489a00a324156143e3e623c21ed4",
     "Reversi":
-        "7d59514e7c9df4a445a64316723d7a62180aa0a25de1c8fcd2fa14647d42be96",
+        "2148f23163ba2afa58bb88c6238c86a49fca814ea93d75e2ff6d0206328538b9",
     "Tic-Tac-Toe":
-        "e2b361b1e26b4a7ed6b056934a21edd00e2a39839d8a388e14f4d1a9f8432516",
+        "d9682de0fe0c6da7f2eb4b36914d4846bce653c20077181495f6bdc3c34fae3e",
 }
 
 
@@ -74,19 +89,19 @@ LOWERED_GOLDEN = {
 # the lowering numbers its instructions.
 SHAPE_GOLDEN = {
     "Amazons":
-        "c0bda67d5baa3b30540e56938a9d35a6b413b4be8b1b4d8520ceefbdf6f05ec2",
+        "7d84333286be95345a58b56ae486cfa6ea5c0a969cd13b9013ebc952d254d31b",
     "Breakthrough":
-        "54ccd771f9a263ab65884a2cfb5cf7d657f367d855572e125f8c841fd2563ae1",
+        "840fd0cac31c56e6ee19c8c46d94b5eac6bac35e999308218dc1c3ff91599f06",
     "Connect-4":
-        "cc2a3a71f65f8475ecd781d66c2208a9650bb7024f76f89bf5817662aeba836f",
+        "24375a8c2430963b7ddaed2f453b9ec1a8bc49f10d7ccacaaf4f8278aa3a1fb4",
     "Gomoku":
-        "fa84cba5aa7a850859bdca52102c23038367fb805115c0ba91eef7fc1aef956c",
+        "08654b52b728ca87c1ddaad504b22b1714d5a08c79d3a11af86a2be175ca42f9",
     "Hex":
-        "0f99f9aa32aa856125fbd32ab43556ffa1245338dc35e86ebae7c95bdf6e05b8",
+        "69c96849a5154bbaf3a30cd7892587d666bf6c7557e893edb8d9a15a0d5c3265",
     "Reversi":
-        "15a2a9de4aaca6d7093c72a67b1aa7c57e3f50c2dbbe55da4ecca0e7a659fec6",
+        "d7a81a55adf735bb2c30ee3612d795e7f6e67e76874de363601845e35684594e",
     "Tic-Tac-Toe":
-        "a37f5417f7a2fee240f213f05666f5a04263efebfb8383a8b242142ba904a906",
+        "331745f6be20cce76aa1775bf02efa39d55941e0c7f1cdce63157bb82444388d",
 }
 
 
@@ -137,6 +152,10 @@ def program_shape(program) -> tuple[str, int]:
             fields = tuple(ref(t) for t in instr[1])
         elif op == CHECK:
             fields = (instr[1], ref(instr[2]), instr[3], ref(instr[4]))
+        elif op == VCHECK:
+            fields = (instr[1], ref(instr[2]), ref(instr[4]))
+        elif op == TAIL:
+            fields = instr[1:4]
         elif op == JUMPS:
             fields = (
                 tuple(ref(t) for t in region_exits(program, instr[2])[1]),
@@ -163,7 +182,7 @@ def test_reachable_program_is_pinned(game):
 def test_interpreter_program_is_unoptimized_and_live(game):
     program = library.make_engine(game, "interpreter").program
     ops = Counter(instr[0] for instr in program.instrs)
-    assert ops[JUMPS] == 0
+    assert ops[JUMPS] == ops[TAIL] == ops[VCHECK] == 0
     _, reachable = program_shape(program)
     assert reachable == len(program.instrs)
 
@@ -431,3 +450,128 @@ def test_compiled_program_holds_only_live_instructions():
         assert ops[FORK] == ops[SHIFT] == 0
         _, reachable = program_shape(program)
         assert reachable == len(program.instrs), entry.name
+
+
+# -- write-emit tails and vertex-only checks -----------------------------
+
+
+def unfolded_program(game) -> LoweredProgram:
+    """The compiled program as the lowering builds it with jump tables on
+    and both folds off: every write of a chain is its own instruction,
+    and every check searches its body at each configuration."""
+    with mock.patch.object(_Lowerer, "_tail", staticmethod(lambda *_: None)), \
+            mock.patch.object(_Lowerer, "_reads_nothing", lambda *_: False):
+        return lower(game.nfa, game.board, optimize=True)
+
+
+def assert_folds_change_no_move(game, seed, plies):
+    """At every state of a seeded walk the compiled executor finds the
+    same (effects, replay, control) list, in the same order, as it does
+    on its program lowered without folds, and the same sorted list as on
+    the pre-pass program."""
+    folded = RbgCompiledEngine(game)
+    unfolded = RbgCompiledEngine(game)
+    unfolded.program = unfolded_program(game)
+    assert not {TAIL, VCHECK} & set(opcode_counts(unfolded))
+    pre_pass = RbgCompiledEngine(game)
+    pre_pass.program = pre_pass_program(game)
+    rng = random.Random(seed)
+    state = folded.initial_state()
+    for _ in range(plies):
+        moves = folded.semimoves(state)
+        listed = [(m.effects, m.replay, m.control) for m in moves]
+        assert listed == [
+            (m.effects, m.replay, m.control) for m in unfolded.semimoves(state)
+        ]
+        assert sorted(listed) == sorted(
+            (m.effects, m.replay, m.control) for m in pre_pass.semimoves(state)
+        )
+        if not moves:
+            break
+        state = folded.apply(state, rng.choice(moves))
+    return folded.program
+
+
+@settings(max_examples=120, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_folds_change_no_result_on_micro_games(seed):
+    # the jump-table micro games with a shift-only check opening the first
+    # turn and write chains ending both turns, one before a switch and one
+    # before a keep
+    rng = random.Random(seed)
+    cols = rng.randint(2, 4)
+    rows = [
+        [rng.choice(PIECES) for _ in range(cols)] for _ in range(rng.randint(1, 3))
+    ]
+    first = render(random_micro_pattern(rng, allow_check=True))
+    second = render(random_micro_pattern(rng, allow_check=True))
+    check, chain = random_fold_shapes(rng)
+    _, keep_chain = random_fold_shapes(rng)
+    game = micro_game(
+        rows,
+        f"->p ( ((up)* + (down)*)((left)* + (right)*) {check} {first} {chain}"
+        f" -> q {second} {keep_chain} ->> -> p )*",
+    )
+    program = assert_folds_change_no_move(game, seed, 6)
+    ops = Counter(instr[0] for instr in program.instrs)
+    assert ops[TAIL] >= 2 and ops[VCHECK] >= 1
+    assert_interpreter_finds_same_moves(game, seed, 6)
+
+
+@pytest.mark.parametrize("name", [entry.name for entry in library.list_games()])
+def test_folds_change_no_result_on_library_games(name):
+    game = RbgGame.from_text(library.load_description(name, "rbg"))
+    program = assert_folds_change_no_move(game, 0, 6)
+    assert TAIL in {instr[0] for instr in program.instrs}
+
+
+def test_hex_folds_tails_and_six_vertex_only_checks():
+    ops = opcode_counts(library.make_engine("hex", "compiled"))
+    assert ops[TAIL] >= 1 and ops[VCHECK] == 6 and ops[CHECK] == 3
+
+
+# each turn places on an empty cell that passes a shift-only check made
+# by the semi-move walk itself, not from inside another check's body
+TOP_LEVEL_VERTEX_CHECKS = (
+    "->p ( ((up)* + (down)*)((left)* + (right)*) {e} {! (up)} [w] -> q"
+    " ((up)* + (down)*)((left)* + (right)*) {e} {? (left) (left)} [b] -> p )*"
+)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: library.make_engine("hex", "compiled"),
+        lambda: RbgCompiledEngine(
+            micro_game([["e"] * 3] * 3, TOP_LEVEL_VERTEX_CHECKS)
+        ),
+    ],
+    ids=["hex-nested", "micro-top-level"],
+)
+def test_vertex_only_checks_search_once_per_vertex(build, monkeypatch):
+    eng = build()
+    vertex_only = {
+        id(instr[5]) for instr in eng.program.instrs if instr[0] == VCHECK
+    }
+    calls = Counter()
+    exists = eng._exists
+
+    def spy(sub, vertex, contents, variables, pure):
+        if id(sub) in vertex_only:
+            calls[id(sub), vertex] += 1
+        return exists(sub, vertex, contents, variables, pure)
+
+    monkeypatch.setattr(eng, "_exists", spy)
+    result = run_playout(eng, 0)
+    assert result.move_count > 0
+    # the answers are shared by every VCHECK on one body, so one search
+    # per (body, vertex) bounds the searches per (instruction, vertex)
+    assert calls and max(calls.values()) == 1
+
+
+def test_tail_past_the_effect_cap_names_itself(monkeypatch):
+    eng = library.make_engine("hex", "compiled")
+    monkeypatch.setattr(eng, "_effect_cap", 1)
+    with pytest.raises(RunawaySearch) as info:
+        eng.semimoves(eng.initial_state())
+    assert eng.program.instrs[info.value.instr][0] == TAIL

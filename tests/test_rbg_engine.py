@@ -14,7 +14,18 @@ from hypothesis import given, settings, strategies as st
 from ggs.core.board import RECT_DIRECTIONS
 from ggs.core.model import IllegalMove, Move
 from ggs.rbg import ast, engine as rbg_engine
-from ggs.rbg.compiler import ASSIGN, CHECK, EMIT, FORK, JUMPS, ON, SET, SHIFT
+from ggs.rbg.compiler import (
+    ASSIGN,
+    CHECK,
+    EMIT,
+    FORK,
+    JUMPS,
+    ON,
+    SET,
+    SHIFT,
+    TAIL,
+    VCHECK,
+)
 from ggs.rbg.engine import (
     RbgCompiledEngine,
     RbgGame,
@@ -236,6 +247,24 @@ def random_micro_pattern(rng, depth=0, allow_mutation=True, allow_check=False):
         )
     # stars stay mutation-free so effect sequences remain bounded
     return ast.Star(random_micro_pattern(rng, depth + 1, False, allow_check))
+
+
+def random_fold_shapes(rng):
+    """(check, chain): a check on a shift-only body, as in ``{! up}`` or
+    ``{? left left}``, and one or two writes to end a turn with, as in
+    ``[w] [$ p=1] -> q``; the compiled lowering folds a shift-only check
+    into a VCHECK and a write chain before a switch or keep into a TAIL."""
+    shifts = " ".join(
+        render(ast.Name(rng.choice(RECT_DIRECTIONS[:4])))
+        for _ in range(rng.randint(1, 2))
+    )
+    check = "{" + rng.choice("?!") + f" {shifts}}}"
+    chain = " ".join(
+        render(ast.SetHere(rng.choice(PIECES))) if rng.random() < 0.5
+        else render(ast.AssignVars(((rng.choice("pq"), rng.randint(0, 100)),)))
+        for _ in range(rng.randint(1, 2))
+    )
+    return check, chain
 
 
 def render(pat):
@@ -490,6 +519,17 @@ def recursive_semimoves(eng, state):
     found: dict = {}
     lookahead: dict = {}
 
+    def emit(player, node, vertex):
+        if player is None:
+            seq, replay = tuple(effects), True
+        else:
+            seq, replay = tuple(effects) + (("pass", player),), False
+        control = (node, vertex)
+        if (seq, replay) not in found:
+            found[seq, replay] = Move(seq, replay, control)
+        elif control < found[seq, replay].control:
+            found[seq, replay].control = control
+
     def walk(idx, vertex):
         if len(effects) > eng._effect_cap:
             raise RunawaySearch(
@@ -536,20 +576,26 @@ def recursive_semimoves(eng, state):
             for n, v in olds:
                 variables[n] = v
         elif op == EMIT:
-            if instr[1] is None:
-                seq, replay = tuple(effects), True
-            else:
-                seq, replay = tuple(effects) + (("pass", instr[1]),), False
-            control = (instr[2], vertex)
-            if (seq, replay) not in found:
-                found[seq, replay] = Move(seq, replay, control)
-            elif control < found[seq, replay].control:
-                found[seq, replay].control = control
-        elif op == CHECK:
+            emit(instr[1], instr[2], vertex)
+        elif op == TAIL:
+            # the writes of a folded chain, made as effects only
+            for write, arg in instr[1]:
+                if write == SET:
+                    effects.append(("cell", vertex, arg))
+                else:
+                    effects.extend(("var", n, v) for n, v in arg)
+            if len(effects) > eng._effect_cap:
+                raise RunawaySearch(
+                    "runaway effect sequence in rules pattern", idx, vertex
+                )
+            emit(instr[2], instr[3], vertex)
+            del effects[len(so_far):]
+        elif op in (CHECK, VCHECK):
             query = (instr[2], vertex, so_far)
             if query not in lookahead:
+                pure = instr[3] if op == CHECK else True
                 lookahead[query] = eng._exists(
-                    instr[5], vertex, contents, variables, instr[3]
+                    instr[5], vertex, contents, variables, pure
                 )
             if lookahead[query] == instr[1]:
                 walk(instr[4], vertex)
@@ -607,8 +653,12 @@ def test_walk_order_matches_recursive_oracle_on_micro_games(seed):
         )
     )
     second = random_micro_pattern(rng, allow_check=True)
+    check, chain = random_fold_shapes(rng)
+    _, keep_chain = random_fold_shapes(rng)
     game = micro_game(
-        rows, f"->p ( {render(first)} -> q {render(second)} -> p )*"
+        rows,
+        f"->p ( {check} {render(first)} {chain} -> q {render(second)}"
+        f" {keep_chain} ->> -> p )*",
     )
     assert_walks_match_oracle(game, seed, 6)
 
