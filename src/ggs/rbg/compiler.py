@@ -78,7 +78,9 @@ _NAMES = {
 class LoweredProgram:
     instrs: list
     entry: dict  # control node id -> instruction index (main program)
-    bodies: dict  # id(check body Nfa) -> entry index of its sub-program
+    # id(check body Nfa) -> (entry index of its sub-program, the answers
+    # its VCHECKs share or None)
+    bodies: dict
     shift_table: list  # shift_table[direction][vertex] -> vertex or OFF_BOARD
     # The FORK and SHIFT steps the JUMPS instructions stand for, under
     # negative ids; their targets are region ids or instruction indices.
@@ -158,20 +160,12 @@ class _Lowerer:
     def __init__(self, jumps: bool):
         self.jumps = jumps
         self.instrs: list = []
-        self.bodies: dict[int, int] = {}  # id(sub Nfa) -> entry index
+        # id(sub Nfa) -> (entry index, the answers its VCHECKs share, or
+        # None for a body that reads a cell, writes or nests a check)
+        self.bodies: dict[int, tuple] = {}
         self.region: dict = {}  # region id (< 0) -> FORK or SHIFT step
-        # id(sub Nfa) -> the answers its VCHECKs share, or None for a
-        # body that reads a cell, writes or nests a check
-        self.answers: dict[int, dict | None] = {}
-        # (writes, player, control node) -> the TAIL that emits them
-        self.tails: dict = {}
 
     def add(self, instr) -> int:
-        """A new instruction's index; equal TAILs share one."""
-        if instr[0] == TAIL:
-            i = self.tails.setdefault(instr[1:4], len(self.instrs))
-            if i < len(self.instrs):
-                return i
         self.instrs.append(instr)
         return len(self.instrs) - 1
 
@@ -259,8 +253,6 @@ class _Lowerer:
             else:
                 instr = fork(n, at)
             instrs[index[n]] = instr
-            if instr[0] == TAIL:
-                self.tails.setdefault(instr[1:4], index[n])
         return entry
 
     @staticmethod
@@ -311,14 +303,14 @@ class _Lowerer:
             return (EMIT, None, target)
         if kind == "check":
             sub = label[2]
-            entry = self.bodies.get(id(sub))
-            if entry is None:
+            body = self.bodies.get(id(sub))
+            if body is None:
                 entry = self.lower_nfa(sub, True, (sub.start,))[sub.start]
-                self.bodies[id(sub)] = entry
-                self.answers[id(sub)] = (
-                    {} if self.jumps and self._reads_nothing(entry) else None
+                body = self.bodies[id(sub)] = (
+                    entry,
+                    {} if self.jumps and self._reads_nothing(entry) else None,
                 )
-            answers = self.answers[id(sub)]
+            entry, answers = body
             if answers is not None:
                 return (VCHECK, label[1], entry, answers, at(target), sub)
             return (CHECK, label[1], entry, label[3], at(target), sub)

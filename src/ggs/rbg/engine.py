@@ -459,7 +459,7 @@ class RbgEngineBase(Engine):
         program = self.program
         instrs = program.instrs
         shift = program.shift_table
-        start = (program.bodies[id(sub)], vertex, ())
+        start = (program.bodies[id(sub)][0], vertex, ())
         seen = {start}
         stack = [start]
         applied = ()

@@ -653,14 +653,18 @@ def test_walk_order_matches_recursive_oracle_on_micro_games(seed):
         )
     )
     second = random_micro_pattern(rng, allow_check=True)
-    check, chain = random_fold_shapes(rng)
-    _, keep_chain = random_fold_shapes(rng)
-    game = micro_game(
-        rows,
-        f"->p ( {check} {render(first)} {chain} -> q {render(second)}"
-        f" {keep_chain} ->> -> p )*",
-    )
-    assert_walks_match_oracle(game, seed, 6)
+    rules = f"->p ( {render(first)} -> q {render(second)} -> p )*"
+    if rng.random() < 0.5:
+        # a shift-only check where the first turn's movement ends, and
+        # write chains ending both turns, one before a switch and one
+        # before a keep
+        check, chain = random_fold_shapes(rng)
+        _, keep_chain = random_fold_shapes(rng)
+        rules = (
+            f"->p ( {render(first)} {check} {chain} -> q {render(second)}"
+            f" {keep_chain} ->> -> p )*"
+        )
+    assert_walks_match_oracle(micro_game(rows, rules), seed, 6)
 
 
 @settings(max_examples=14, deadline=None, database=None)
