@@ -74,7 +74,7 @@ def dedup_moves(engine, state, moves):
     """
     keys = [m.key for m in moves]
     if None in keys:
-        keys = [engine.delta_text(state, m) for m in moves]
+        keys = engine.delta_texts(state, moves)
     seen = set()
     out = []
     for m, key in zip(moves, keys):
@@ -185,7 +185,7 @@ def _normalized_deltas(state, moves, tokens):
     The ludemic dialect has no variables and its piece names differ, so
     cross-dialect equality is judged on cell changes plus the next mover,
     with symbols translated through the game's symbol map (``tokens``, from
-    ``_cell_tokens``). As in ``Engine.delta_text``, later writes win and
+    ``_cell_tokens``). As in ``Engine.delta_texts``, later writes win and
     no-op writes are dropped.
     """
     contents = state.contents
@@ -205,6 +205,15 @@ def _normalized_deltas(state, moves, tokens):
     return out
 
 
+def _replay_scripts(engines: dict, history: dict) -> dict:
+    """Label -> the delta texts of the moves that executor applied on the
+    walk, space-joined: ``ggs moves <game> --state "<script>"`` replays it."""
+    return {
+        label: " ".join(engines[label].delta_text(s, m) for s, m in steps)
+        for label, steps in history.items()
+    }
+
+
 def cross_validate(
     game: str,
     depth: int,
@@ -215,7 +224,9 @@ def cross_validate(
     symbol_map: dict | None = None,
 ) -> dict:
     """Compare the three executors on perft, per-state delta sets along
-    seeded random walks, and terminal payoffs. Mismatches are data."""
+    seeded random walks, and terminal payoffs. Mismatches are data; each
+    maps every label to the ``replay`` script of its walk (see
+    ``_replay_scripts``)."""
     if engines is None:
         engines = {
             MODE_LABELS[mode]: library.make_engine(game, mode) for mode in MODES
@@ -244,6 +255,8 @@ def cross_validate(
     for walk in range(walk_count):
         rng = Prng(seed + walk)
         states = {label: engines[label].initial_state() for label in labels}
+        # (state, move) per ply and label: texts only when a walk mismatches
+        history = {label: [] for label in labels}
         for ply in range(max_plies):
             # One probe per state. Terminality first: a terminal
             # regex-dialect state has no moves while the ludemic engine
@@ -256,7 +269,8 @@ def cross_validate(
                 if len({tuple(sorted(p.items())) if p else None
                         for p in payoffs.values()}) != 1:
                     outcome_mismatches.append(
-                        {"walk": walk, "ply": ply, "payoffs": payoffs}
+                        {"walk": walk, "ply": ply, "payoffs": payoffs,
+                         "replay": _replay_scripts(engines, history)}
                     )
                 break
             tables = {
@@ -272,7 +286,8 @@ def cross_validate(
                     label: sorted(keysets[label] ^ base) for label in labels[1:]
                 }
                 delta_mismatches.append(
-                    {"walk": walk, "ply": ply, "difference": detail}
+                    {"walk": walk, "ply": ply, "difference": detail,
+                     "replay": _replay_scripts(engines, history)}
                 )
                 break
             shared = sorted(keysets[labels[0]])
@@ -280,9 +295,9 @@ def cross_validate(
                 break
             choice = shared[rng.uniform_index(len(shared))]
             for label in labels:
-                states[label] = engines[label].apply(
-                    states[label], tables[label][choice]
-                )
+                move = tables[label][choice]
+                history[label].append((states[label], move))
+                states[label] = engines[label].apply(states[label], move)
     return {
         "game": game,
         "perftAgreement": perft_agreement,

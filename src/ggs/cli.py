@@ -86,8 +86,9 @@ def cmd_moves(args) -> int:
     try:
         for wanted in (args.state or "").split():
             moves, payoffs = engine.probe(state)
+            texts = engine.delta_texts(state, moves)
             chosen = next(
-                (m for m in moves if engine.delta_text(state, m) == wanted), None
+                (m for m, text in zip(moves, texts) if text == wanted), None
             )
             if chosen is None:
                 return _fail(f"no legal move with delta {wanted!r}")
@@ -95,8 +96,8 @@ def cmd_moves(args) -> int:
         moves, payoffs = engine.probe(state)
     except RunawaySearch as exc:
         return _fail(f"{type(exc).__name__}: {exc}")
-    for m in bench.dedup_moves(engine, state, moves):
-        print(engine.delta_text(state, m))
+    for text in engine.delta_texts(state, bench.dedup_moves(engine, state, moves)):
+        print(text)
     if payoffs is not None:
         print("terminal:", json.dumps(payoffs), file=sys.stderr)
     return 0

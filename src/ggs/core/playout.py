@@ -55,40 +55,50 @@ class Engine:
             for v in range(board.vertex_count)
         )
 
-    def delta_text(self, state: GameState, move: Move) -> str:
-        """``encode_delta(move_delta(state, move), ...)`` from cached tokens."""
-        cells = {}
-        variables = None
-        mover = state.mover
-        for eff in move.effects:
-            kind = eff[0]
-            if kind == "cell":
-                cells[eff[1]] = eff[2]
-            elif kind == "pass":
-                mover = eff[1]
-            elif kind == "var":
-                if variables is None:
-                    variables = {}
-                variables[eff[1]] = eff[2]
+    def delta_texts(self, state: GameState, moves) -> list[str]:
+        """``encode_delta(move_delta(state, m), ...)`` for each move, in one
+        pass from cached tokens: later writes win and no-op writes are
+        dropped.  The ``;var:...;mover=n`` suffix is built once per distinct
+        tuple of non-cell effects in ``moves``."""
         contents = state.contents
         tokens = self.cell_tokens
-        changed = [tokens[v][p] for v, p in cells.items() if contents[v] != p]
-        changed.sort()
-        text = ",".join(changed)
-        if variables:
-            old = state.variables
-            for name in sorted(variables):
-                val = variables[name]
-                if old.get(name, 0) != val:
-                    text += f";var:{name}={val}"
-        return f"{text};mover={mover}"
+        suffixes: dict = {}
+        texts: list[str] = []
+        add = texts.append
+        for move in moves:
+            one = cells = None
+            rest = ()
+            for eff in move.effects:
+                if eff[0] != "cell":
+                    rest += (eff,)
+                elif one is None:
+                    one = eff
+                elif cells is None:
+                    cells = {one[1]: one[2], eff[1]: eff[2]}
+                else:
+                    cells[eff[1]] = eff[2]
+            suffix = suffixes.get(rest)
+            if suffix is None:
+                suffix = suffixes[rest] = _delta_suffix(state, rest)
+            if cells is not None:
+                changed = [tokens[v][p] for v, p in cells.items() if contents[v] != p]
+                changed.sort()
+                add(",".join(changed) + suffix)
+            elif one is None or contents[one[1]] == one[2]:
+                add(suffix)
+            else:
+                add(tokens[one[1]][one[2]] + suffix)
+        return texts
+
+    def delta_text(self, state: GameState, move: Move) -> str:
+        """The delta text of one move (``delta_texts``)."""
+        return self.delta_texts(state, (move,))[0]
 
     def sort_moves(self, state: GameState, moves: list[Move]) -> list[Move]:
         """Canonical order: delta text, then raw effect text among moves
         with equal delta text; moves equal in both keep their input order.
         Each move keeps its delta text as its ``key``."""
-        delta_text = self.delta_text
-        texts = [delta_text(state, m) for m in moves]
+        texts = self.delta_texts(state, moves)
         for m, text in zip(moves, texts):
             m.key = text
         return self.order_by_keys(moves, texts)
@@ -107,6 +117,25 @@ class Engine:
                 group.sort(key=lambda m: encode_effects(m, board, symbols))
             out += group
         return out
+
+
+def _delta_suffix(state: GameState, effects) -> str:
+    """The ``;var:...;mover=n`` end of a delta text, from a move's non-cell
+    effects: later assignments win, unchanged variables are dropped."""
+    variables = {}
+    mover = state.mover
+    for eff in effects:
+        if eff[0] == "pass":
+            mover = eff[1]
+        else:
+            variables[eff[1]] = eff[2]
+    old = state.variables
+    text = "".join(
+        f";var:{name}={variables[name]}"
+        for name in sorted(variables)
+        if old.get(name, 0) != variables[name]
+    )
+    return f"{text};mover={mover}"
 
 
 @dataclass

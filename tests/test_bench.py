@@ -1,10 +1,11 @@
 """Bench harness: tokens, perft, playout timing, cross-validation, table."""
 
 import dataclasses
+import json
 
 import pytest
 
-from ggs import bench, library
+from ggs import bench, cli, library
 from ggs.core.model import Move, move_delta
 from ggs.core.rng import Prng
 from ggs.ludeme.compile import compile_ludemic
@@ -222,7 +223,23 @@ def corrupted_engines(substitution):
     return engines
 
 
-def test_cross_validate_flags_delta_mismatch():
+# the uncorrupted executors of ``corrupted_engines``
+RBG_MODES = {"rbg-interp": "interpreter", "rbg-compiled": "compiled"}
+
+
+def replayed(capsys, mismatch, label):
+    """(stdout lines, stderr) of ``ggs moves`` at the state the mismatch's
+    replay script for ``label`` rebuilds."""
+    script = mismatch["replay"][label]
+    assert len(script.split()) == mismatch["ply"]
+    capsys.readouterr()
+    argv = ["moves", "tictactoe", "--mode", RBG_MODES[label], "--state", script]
+    assert cli.main(argv) == 0
+    out = capsys.readouterr()
+    return out.out.splitlines(), out.err
+
+
+def test_cross_validate_flags_delta_mismatch(capsys):
     # pre-placing a disc removes one placement from the ludemic delta set
     engines = corrupted_engines(
         ("(rules", '(rules\n  (start { (place "Disc1" {4}) })')
@@ -233,9 +250,22 @@ def test_cross_validate_flags_delta_mismatch():
     assert not bench.report_ok(report)
     assert not report["perftAgreement"][1]["agree"]
     assert report["deltaSetMismatches"]
+    (mismatch,) = report["deltaSetMismatches"]
+    assert set(mismatch["replay"]) == set(engines)
+    assert mismatch["ply"] == 0  # the corrupted start differs at once
+    (missing,) = mismatch["difference"]["ludemic"]
+    cells, mover = missing.split(";mover=")
+    for label in RBG_MODES:
+        lines, _ = replayed(capsys, mismatch, label)
+        # every move at the start, the one the ludemic set lacks included
+        assert len(lines) == report["perftAgreement"][1]["counts"][label]
+        assert any(
+            line.startswith(f"cell:{cells};") and line.endswith(f";mover={mover}")
+            for line in lines
+        )
 
 
-def test_cross_validate_flags_outcome_mismatch():
+def test_cross_validate_flags_outcome_mismatch(capsys):
     # the mutated game no longer recognizes three in a row
     engines = corrupted_engines(("(line 3)", "(line 4)"))
     report = bench.cross_validate(
@@ -243,6 +273,15 @@ def test_cross_validate_flags_outcome_mismatch():
     )
     assert report["perftAgreement"][1]["agree"]  # first ply looks fine
     assert report["outcomeMismatches"]
+    for mismatch in report["outcomeMismatches"]:
+        assert set(mismatch["replay"]) == set(engines)
+        for label in RBG_MODES:
+            # the replayed state is the one the rbg executors end
+            lines, err = replayed(capsys, mismatch, label)
+            payoffs = mismatch["payoffs"][label]
+            assert payoffs is not None
+            assert lines == []
+            assert err == f"terminal: {json.dumps(payoffs)}\n"
 
 
 def test_build_comparison_row_and_emit_table():

@@ -1,7 +1,8 @@
-"""Canonical move order: ``Engine.delta_text`` and ``Engine.sort_moves``
+"""Canonical move order: ``Engine.delta_texts`` and ``Engine.sort_moves``
 against the reference encoders in ``core/model.py``."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ggs import library
 from ggs.core.board import build_rectangle_board
@@ -12,6 +13,7 @@ from ggs.core.model import (
     encode_effects,
     move_delta,
 )
+from ggs.core import playout
 from ggs.core.playout import Engine
 from ggs.core.rng import Prng
 
@@ -56,10 +58,9 @@ def test_order_matches_reference_on_walks(game, mode):
         state = engine.initial_state()
         for _ in range(WALK_PLIES[game]):
             raw = generated(engine, state)
-            for m in raw:
-                assert engine.delta_text(state, m) == encode_delta(
-                    move_delta(state, m), board, symbols
-                )
+            assert engine.delta_texts(state, raw) == [
+                encode_delta(move_delta(state, m), board, symbols) for m in raw
+            ]
             shuffled = list(raw)
             for i in range(len(shuffled) - 1, 0, -1):
                 j = rng.uniform_index(i + 1)
@@ -91,10 +92,10 @@ def state(**variables):
 
 
 def check(engine, s, moves, expected):
-    for m in moves:
-        assert engine.delta_text(s, m) == encode_delta(
-            move_delta(s, m), engine.board, engine.piece_symbols
-        )
+    assert engine.delta_texts(s, moves) == [
+        encode_delta(move_delta(s, m), engine.board, engine.piece_symbols)
+        for m in moves
+    ]
     got = engine.sort_moves(s, moves)
     assert [id(m) for m in got] == [id(m) for m in reference_order(engine, s, moves)]
     assert [id(m) for m in got] == [id(m) for m in expected]
@@ -160,3 +161,76 @@ def test_equal_deltas_fall_back_to_effect_text_and_keep_input_order():
           [plain_again, plain, keep, twice, other])
     check(eng, s, [plain, keep, twice, plain_again],
           [plain, plain_again, keep, twice])
+
+
+# A few cells of the 10x10 board (a10, b10, a9, a1, j1) so that writes
+# collide; "extra" is a variable no drawn state defines.
+CELLS = (0, 1, 10, 90, 99)
+VARIABLES = ("white", "black", "extra")
+cell_writes = st.tuples(
+    st.just("cell"), st.sampled_from(CELLS), st.integers(0, 2)
+)
+other_effects = st.one_of(
+    st.tuples(st.just("var"), st.sampled_from(VARIABLES), st.integers(0, 2)),
+    st.tuples(st.just("pass"), st.integers(1, 3)),
+)
+
+
+@st.composite
+def moves_sharing_suffixes(draw):
+    """A state and a move list whose non-cell effects come from a small
+    pool, each interleaved with its own cell writes."""
+    contents = [0] * 100
+    for v in CELLS:
+        contents[v] = draw(st.integers(0, 2))
+    variables = draw(
+        st.dictionaries(st.sampled_from(VARIABLES[:2]), st.integers(0, 2))
+    )
+    s = GameState(contents, draw(st.integers(1, 2)), variables)
+    pool = draw(st.lists(st.lists(other_effects, max_size=4), min_size=1,
+                         max_size=3))
+    moves = []
+    for _ in range(draw(st.integers(0, 12))):
+        rest = list(draw(st.sampled_from(pool)))
+        cells = draw(st.lists(cell_writes, max_size=4))
+        effects = []
+        while rest or cells:
+            take_cell = cells and (not rest or draw(st.booleans()))
+            effects.append((cells if take_cell else rest).pop(0))
+        moves.append(Move(tuple(effects), replay=draw(st.booleans())))
+    return s, moves
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(drawn=moves_sharing_suffixes())
+def test_delta_texts_match_reference_on_drawn_batches(drawn):
+    eng = BoardOnly()
+    s, moves = drawn
+    # the same moves in a state with another mover and other variables:
+    # nothing built for one call may leak into the next
+    other = GameState(list(s.contents), 3 - s.mover, {"white": 1, "black": 1})
+    for at in (s, other, s):
+        want = [
+            encode_delta(move_delta(at, m), eng.board, eng.piece_symbols)
+            for m in moves
+        ]
+        assert eng.delta_texts(at, moves) == want
+        assert [eng.delta_text(at, m) for m in moves] == want
+
+
+def test_hex_first_probe_builds_its_suffix_once(monkeypatch):
+    engine = library.make_engine("Hex", "compiled")
+    calls = []
+    build = playout._delta_suffix
+
+    def spy(state, effects):
+        calls.append(effects)
+        return build(state, effects)
+
+    monkeypatch.setattr(playout, "_delta_suffix", spy)
+    moves, _ = engine.probe(engine.initial_state())
+    assert len(moves) == 121
+    assert len(calls) == 1
+    assert {m.key[m.key.index(";"):] for m in moves} == {
+        ";var:red=100;mover=2"
+    }
