@@ -22,10 +22,12 @@ ids; its table gives the exits the region reaches from each vertex.
 Two more folds are made only there.  A SET/ASSIGN edge that starts a
 chain of such edges, one per node, ending in a switch or keep becomes a
 TAIL, which emits the move the chain would build without stepping
-through it.  A check whose body reaches only FORK, SHIFT, JUMPS and
-ACCEPT reads no cell and writes nothing, so its answer depends only on
-the vertex: it becomes a VCHECK, which keeps its body's answers per
-vertex.
+through it.  A check whose body reaches only JUMPS, ON and ACCEPT
+writes nothing and only tests cells along paths fixed by the vertex it
+starts from: it becomes a VCHECK, whose table gives, per vertex, the
+body's answer as a constant or as an OR of ANDs of (cell, piece set)
+tests, or SEARCH where expanding the body takes more than
+CHECK_TEST_BOUND steps (see ``LoweredProgram.check_tests``).
 Nothing the program cannot reach is lowered, so every instruction index
 is final when it is allocated and no pass renumbers the program.
 """
@@ -51,13 +53,20 @@ JUMPS = 10    # (JUMPS, table, region_start)  table: vertex -> (exit
 TAIL = 11     # (TAIL, writes, player_or_None, control_node, table)  writes:
 #               ((SET, piece) | (ASSIGN, assigns), ...); table: vertex ->
 #               the effects the writes make there, filled on first use
-VCHECK = 12   # (VCHECK, positive, sub_entry, answers, next, sub_nfa)
-#               answers: vertex -> body found, shared by the body's checks
+VCHECK = 12   # (VCHECK, positive, sub_entry, tests, next, sub_nfa)
+#               tests: vertex -> what the body asks there (``check_tests``),
+#               filled on first use and shared by the body's checks
 # Retired with the guarded-shift and ray-scan passes (jump tables made
 # them slower than no pass); no lowering emits them, but external
 # listings such as perfbench's still name them.
 GSHIFT = 3
 RAYSCAN = 7
+
+# Expansion steps ``check_tests`` may take for one (body, vertex) before
+# it leaves that vertex to a search of the body.
+CHECK_TEST_BOUND = 200
+# The ``check_tests`` answer for a vertex whose body is searched.
+SEARCH = "search"
 
 _NAMES = {
     FORK: "fork",
@@ -78,8 +87,8 @@ _NAMES = {
 class LoweredProgram:
     instrs: list
     entry: dict  # control node id -> instruction index (main program)
-    # id(check body Nfa) -> (entry index of its sub-program, the answers
-    # its VCHECKs share or None)
+    # id(check body Nfa) -> (entry index of its sub-program, the tests
+    # table its VCHECKs share or None)
     bodies: dict
     shift_table: list  # shift_table[direction][vertex] -> vertex or OFF_BOARD
     # The FORK and SHIFT steps the JUMPS instructions stand for, under
@@ -118,6 +127,74 @@ class LoweredProgram:
         interned = self.interned
         return interned.setdefault(idxs, idxs), interned.setdefault(verts, verts)
 
+    def check_tests(self, entry: int, vertex: int):
+        """What the body lowered at ``entry``, which reaches only JUMPS,
+        ON and ACCEPT, asks at ``vertex``: True or False when its answer
+        is fixed there, else a tuple of conjuncts of which one must hold,
+        each a tuple of (cell, piece set) tests sorted by cell; or SEARCH
+        when expanding it takes more than CHECK_TEST_BOUND steps.
+
+        A depth-first expansion over (instruction, vertex, conjunct):
+        each ON intersects its set into the conjunct's test of its cell,
+        a conjunct left with an empty set is dropped, and every conjunct
+        that reaches ACCEPT is kept.  A loop's second round narrows no test,
+        so it comes back to a configuration already expanded."""
+        instrs = self.instrs
+        found: dict = {}  # conjunct -> None, in the order first reached
+        seen = set()
+        stack = [(entry, vertex, ())]
+        steps = CHECK_TEST_BOUND
+        while stack:
+            key = stack.pop()
+            if key in seen:
+                continue
+            seen.add(key)
+            steps -= 1
+            if steps < 0:
+                return SEARCH
+            i, v, tests = key
+            instr = instrs[i]
+            op = instr[0]
+            if op == ON:
+                tests = _conjoin(tests, v, instr[1])
+                if tests is not None:
+                    stack.append((instr[2], v, tests))
+            elif op == JUMPS:
+                exits = instr[1].get(v)
+                if exits is None:
+                    exits = instr[1][v] = self.jump_exits(instr[2], v)
+                stack.extend((t, nv, tests) for t, nv in zip(*exits))
+            elif tests:  # ACCEPT
+                found[tests] = None
+            else:
+                return True
+        return tuple(found) or False
+
+
+def _conjoin(tests: tuple, cell: int, pieces: frozenset):
+    """Conjunct ``tests`` with ``cell`` also tested against ``pieces``,
+    or None when no piece passes both."""
+    for k, (c, held) in enumerate(tests):
+        if c == cell:
+            pieces = pieces & held
+            if not pieces:
+                return None
+            return tests[:k] + ((cell, pieces),) + tests[k + 1:]
+    if not pieces:
+        return None
+    return tuple(sorted(tests + ((cell, pieces),), key=lambda test: test[0]))
+
+
+def tests_hold(tests: tuple, contents) -> bool:
+    """Whether one conjunct of a ``check_tests`` tuple holds on ``contents``."""
+    for conjunct in tests:
+        for cell, pieces in conjunct:
+            if contents[cell] not in pieces:
+                break
+        else:
+            return True
+    return False
+
 
 def tail_effects(writes: tuple, vertex: int) -> tuple:
     """The effects a TAIL's ``writes`` make at ``vertex``, in order."""
@@ -155,13 +232,13 @@ class _Lowerer:
     node whose instruction would be a FORK or a SHIFT becomes a JUMPS,
     and its region's FORK and SHIFT steps go into ``region``; a write
     chain ending in a switch or keep becomes a TAIL, and a check on a
-    body that reads no cell becomes a VCHECK."""
+    body that only tests cells becomes a VCHECK."""
 
     def __init__(self, jumps: bool):
         self.jumps = jumps
         self.instrs: list = []
-        # id(sub Nfa) -> (entry index, the answers its VCHECKs share, or
-        # None for a body that reads a cell, writes or nests a check)
+        # id(sub Nfa) -> (entry index, the tests table its VCHECKs share,
+        # or None for a body that writes or nests a check)
         self.bodies: dict[int, tuple] = {}
         self.region: dict = {}  # region id (< 0) -> FORK or SHIFT step
 
@@ -278,10 +355,10 @@ class _Lowerer:
             seen.add(target)
             (label, target), = edges[target]
 
-    def _reads_nothing(self, entry: int) -> bool:
-        """Whether the body lowered at ``entry`` reaches only JUMPS and
-        ACCEPT, JUMPS exits included: it reads no cell, writes nothing
-        and nests no check, so its answer depends only on the vertex."""
+    def _tests_cells_only(self, entry: int) -> bool:
+        """Whether the body lowered at ``entry`` reaches only JUMPS, ON
+        and ACCEPT, JUMPS exits included: it writes nothing and nests no
+        check, so at each vertex it asks for cells along fixed paths."""
         stack, seen = [entry], set()
         while stack:
             i = stack.pop()
@@ -291,6 +368,8 @@ class _Lowerer:
             instr = self.instrs[i]
             if instr[0] == JUMPS:  # the lowerer holds the program's region
                 stack.extend(region_exits(self, instr[2])[1])
+            elif instr[0] == ON:
+                stack.append(instr[2])
             elif instr[0] != ACCEPT:
                 return False
         return True
@@ -308,11 +387,11 @@ class _Lowerer:
                 entry = self.lower_nfa(sub, True, (sub.start,))[sub.start]
                 body = self.bodies[id(sub)] = (
                     entry,
-                    {} if self.jumps and self._reads_nothing(entry) else None,
+                    {} if self.jumps and self._tests_cells_only(entry) else None,
                 )
-            entry, answers = body
-            if answers is not None:
-                return (VCHECK, label[1], entry, answers, at(target), sub)
+            entry, tests = body
+            if tests is not None:
+                return (VCHECK, label[1], entry, tests, at(target), sub)
             return (CHECK, label[1], entry, label[3], at(target), sub)
         nxt = at(target)
         if kind == "shift":
@@ -331,7 +410,7 @@ def lower(nfa: Nfa, board, optimize: bool) -> LoweredProgram:
     reach into an instruction program whose ``entry`` maps those nodes.
     With ``optimize`` (the compiled executor) epsilon edges are
     eliminated first, FORK/SHIFT regions become jump tables, write chains
-    before a switch become TAILs and checks on bodies that read no cell
+    before a switch become TAILs and checks on bodies that only test cells
     become VCHECKs; without it (the interpreter) the automaton is lowered
     as it is."""
     if optimize:

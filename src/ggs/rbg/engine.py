@@ -30,9 +30,13 @@ effect id), so ``{? b}`` and ``{! b}`` at one configuration cost one
 search.  Every body, with or without writes, is searched with an
 explicit stack over (instruction, vertex, net tentative writes), so a
 body's loops need no separate guard; a budget on write expansions stops
-runaway bodies.  A body that reads no cell (a VCHECK in the compiled
-program, such as ``{! up}``) is searched once per vertex for the
-engine's lifetime, and its answer is kept in the instruction.
+runaway bodies.  A body that only tests cells along fixed paths (a
+VCHECK in the compiled program, such as ``{! up}`` or ``{! down {e}}``)
+is not searched: its table, built per vertex on first use and kept for
+the engine's lifetime, gives a constant answer or (cell, piece set)
+tests to evaluate on the board.  Only where building that entry passed
+its step bound (``SEARCH``, as for Connect-4's ``anyLine4``) is the body
+searched, through the same memo as a CHECK.
 """
 
 from __future__ import annotations
@@ -63,10 +67,12 @@ from .compiler import (
     JUMPS,
     ON,
     SET,
+    SEARCH,
     SHIFT,
     TAIL,
     VCHECK,
     tail_effects,
+    tests_hold,
 )
 from .expand import RbgValidationError, UnknownMacro, expand_macros
 from .nfa import Nfa, build_nfa
@@ -434,11 +440,22 @@ class RbgEngineBase(Engine):
                         move.control = control
                     break
                 elif op == VCHECK:
-                    hit = instr[3].get(vertex)
-                    if hit is None:
-                        hit = instr[3][vertex] = self._exists(
-                            instr[5], vertex, contents, variables, True
+                    tests = instr[3].get(vertex)
+                    if tests is None:
+                        tests = instr[3][vertex] = prog.check_tests(
+                            instr[2], vertex
                         )
+                    if tests.__class__ is tuple:
+                        hit = tests_hold(tests, contents)
+                    elif tests is SEARCH:
+                        query = (instr[2], vertex, eid)
+                        hit = lookahead.get(query)
+                        if hit is None:
+                            hit = lookahead[query] = self._exists(
+                                instr[5], vertex, contents, variables, True
+                            )
+                    else:
+                        hit = tests
                     if hit != instr[1]:
                         break
                     idx = instr[4]
@@ -514,11 +531,15 @@ class RbgEngineBase(Engine):
                         continue
                     nxt = (instr[4], v, writes)
                 elif op == VCHECK:
-                    hit = instr[3].get(v)
-                    if hit is None:
-                        hit = instr[3][v] = self._exists(
-                            instr[5], v, contents, variables, True
-                        )
+                    tests = instr[3].get(v)
+                    if tests is None:
+                        tests = instr[3][v] = program.check_tests(instr[2], v)
+                    if tests.__class__ is tuple:
+                        hit = tests_hold(tests, contents)
+                    elif tests is SEARCH:
+                        hit = self._exists(instr[5], v, contents, variables, True)
+                    else:
+                        hit = tests
                     if hit != instr[1]:
                         continue
                     nxt = (instr[4], v, writes)

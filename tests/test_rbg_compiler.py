@@ -6,10 +6,11 @@ from collections import Counter
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ggs import library
 from ggs.core.playout import run_playout
+from ggs.rbg import ast, compiler
 from ggs.rbg.compiler import (
     _NAMES,
     ACCEPT,
@@ -17,6 +18,7 @@ from ggs.rbg.compiler import (
     EMIT,
     FORK,
     JUMPS,
+    SEARCH,
     SHIFT,
     TAIL,
     VCHECK,
@@ -73,15 +75,15 @@ LOWERED_GOLDEN = {
     "Breakthrough":
         "cc22530c69b1e2ffe74c6110d89113483dd0696e4099c19546c085b6ef3d136a",
     "Connect-4":
-        "02f11537c9f632e9cb16bfd969223ad5c14e87ecde2d53e5380886bde22865e4",
+        "2b9ee00f7d6c17cd0ffb85ae144b0a45a755782c23e443b966eefeb8a5bfc076",
     "Gomoku":
-        "039576bcb756c457ef30728f25a8fe88d34ea15324843cb657a7200e55af2325",
+        "48e04e353868d294794fda6f3909b8f4b22e9f561a150610f77d8981314e0c15",
     "Hex":
         "0ef0f48ad110ec9e430078c9baf1921c1fca489a00a324156143e3e623c21ed4",
     "Reversi":
-        "2148f23163ba2afa58bb88c6238c86a49fca814ea93d75e2ff6d0206328538b9",
+        "0cdb13c7049b3a76dd89d60cd3c91a27fd584100758851fe0ff5a1eace098613",
     "Tic-Tac-Toe":
-        "d9682de0fe0c6da7f2eb4b36914d4846bce653c20077181495f6bdc3c34fae3e",
+        "1f661048d4f2d4c5a2331378a15368d62c41d31611bb01d387febb18f2ab9935",
 }
 
 
@@ -93,15 +95,15 @@ SHAPE_GOLDEN = {
     "Breakthrough":
         "840fd0cac31c56e6ee19c8c46d94b5eac6bac35e999308218dc1c3ff91599f06",
     "Connect-4":
-        "24375a8c2430963b7ddaed2f453b9ec1a8bc49f10d7ccacaaf4f8278aa3a1fb4",
+        "2d66642dab14f703f47fb8626a8cba035f22cfd925d9a6d4a97c901ea186749a",
     "Gomoku":
-        "08654b52b728ca87c1ddaad504b22b1714d5a08c79d3a11af86a2be175ca42f9",
+        "d76bcffe7fcec1e44bdf22948a3e72f90558c972e2e595944ac206774887302d",
     "Hex":
         "69c96849a5154bbaf3a30cd7892587d666bf6c7557e893edb8d9a15a0d5c3265",
     "Reversi":
-        "d7a81a55adf735bb2c30ee3612d795e7f6e67e76874de363601845e35684594e",
+        "514dd62eaca4d16d44389ef471eaa0ae8009ef3b55949979cfaf855250669494",
     "Tic-Tac-Toe":
-        "331745f6be20cce76aa1775bf02efa39d55941e0c7f1cdce63157bb82444388d",
+        "f6c0e4dcdaed1959ae05ff8005572d700c3763a217878843047f177ffdedfe5e",
 }
 
 
@@ -291,7 +293,7 @@ def test_equal_check_bodies_share_one_subprogram():
                 signs_by_sub.setdefault(id(label[2]), set()).add(label[1])
     signs_by_entry = {}
     for instr in RbgCompiledEngine(game).program.instrs:
-        if instr[0] == CHECK:
+        if instr[0] in (CHECK, VCHECK):
             signs_by_entry.setdefault(instr[2], set()).add(instr[1])
     expected = [[False], [False], [False, True], [False, True]]
     assert sorted(sorted(v) for v in signs_by_sub.values()) == expected
@@ -407,7 +409,7 @@ def unfolded_program(game) -> LoweredProgram:
     and both folds off: every write of a chain is its own instruction,
     and every check searches its body at each configuration."""
     with mock.patch.object(_Lowerer, "_tail", staticmethod(lambda *_: None)), \
-            mock.patch.object(_Lowerer, "_reads_nothing", lambda *_: False):
+            mock.patch.object(_Lowerer, "_tests_cells_only", lambda *_: False):
         return lower(game.nfa, game.board, optimize=True)
 
 
@@ -443,11 +445,29 @@ def assert_folds_change_no_move(game, seed, plies):
     return folded.program
 
 
+def assert_jump_tables_change_no_result(game, seed):
+    """The folds, the jump tables and the interpreter agree on a seeded
+    walk of ``game``, and the tables list their regions' exits."""
+    program = assert_folds_change_no_move(game, seed, 6)
+    assert_tables_match_regions(game, program)
+    assert_interpreter_finds_same_moves(game, seed, 6)
+    return program
+
+
+def test_jump_tables_on_region_reentered_below_its_exit():
+    # a region re-entered below one of its own exits reaches a deeper EMIT
+    # of one effect sequence first (once drawn by the micro-game test
+    # below as its seed 12393)
+    game = micro_game(
+        [["e", "e", "e"], ["b", "e", "b"], ["b", "b", "e"]],
+        "->p ( ((up)* + (down)*)((left)* + (right)*) ((down))* -> q"
+        " ((((left) {e, b}) + ((right))*))* -> p )*",
+    )
+    assert_jump_tables_change_no_result(game, 12393)
+
+
 @settings(max_examples=120, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
-# a region re-entered below one of its own exits reaches a deeper EMIT
-# of one effect sequence first
-@example(seed=12393)
 def test_jump_tables_change_no_result_on_micro_games(seed):
     # an anySquare-style region opens one turn; the random patterns add
     # stars over shifts, so regions loop, re-enter and exit to checks
@@ -461,7 +481,7 @@ def test_jump_tables_change_no_result_on_micro_games(seed):
     folds = rng.random() < 0.5
     check = chain = keep_chain = ""
     if folds:
-        # a shift-only check after the region, and write chains ending
+        # a cell-test-only check after the region, and write chains ending
         # both turns, one before a switch and one before a keep
         check, chain = random_fold_shapes(rng)
         _, keep_chain = random_fold_shapes(rng)
@@ -471,9 +491,7 @@ def test_jump_tables_change_no_result_on_micro_games(seed):
         f"->p ( ((up)* + (down)*)((left)* + (right)*) {check} {first} {chain}"
         f" -> q {second} {keep_chain} -> p )*",
     )
-    program = assert_folds_change_no_move(game, seed, 6)
-    assert_tables_match_regions(game, program)
-    assert_interpreter_finds_same_moves(game, seed, 6)
+    program = assert_jump_tables_change_no_result(game, seed)
     if folds:
         ops = Counter(instr[0] for instr in program.instrs)
         assert ops[TAIL] >= 2 and ops[VCHECK] >= 1
@@ -504,7 +522,7 @@ def test_compiled_program_holds_only_live_instructions():
         assert reachable == len(program.instrs), entry.name
 
 
-# -- write-emit tails and vertex-only checks -----------------------------
+# -- write-emit tails and cell-test-only checks --------------------------
 
 
 @pytest.mark.parametrize("name", [entry.name for entry in library.list_games()])
@@ -539,23 +557,133 @@ TOP_LEVEL_VERTEX_CHECKS = (
 )
 def test_vertex_only_checks_search_once_per_vertex(build, monkeypatch):
     eng = build()
+    program = eng.program
     vertex_only = {
-        id(instr[5]) for instr in eng.program.instrs if instr[0] == VCHECK
+        id(instr[5]) for instr in program.instrs if instr[0] == VCHECK
     }
-    calls = Counter()
-    exists = eng._exists
+    builds = Counter()
+    searched = []
+    check_tests, exists = program.check_tests, eng._exists
 
-    def spy(sub, vertex, contents, variables, pure):
+    def spy_tests(entry, vertex):
+        builds[entry, vertex] += 1
+        return check_tests(entry, vertex)
+
+    def spy_exists(sub, vertex, contents, variables, pure):
         if id(sub) in vertex_only:
-            calls[id(sub), vertex] += 1
+            searched.append(vertex)
         return exists(sub, vertex, contents, variables, pure)
 
-    monkeypatch.setattr(eng, "_exists", spy)
+    monkeypatch.setattr(program, "check_tests", spy_tests)
+    monkeypatch.setattr(eng, "_exists", spy_exists)
     result = run_playout(eng, 0)
     assert result.move_count > 0
-    # the answers are shared by every VCHECK on one body, so one search
-    # per (body, vertex) bounds the searches per (instruction, vertex)
-    assert calls and max(calls.values()) == 1
+    # the table is shared by every VCHECK on one body, so one build per
+    # (body, vertex) bounds the builds per (instruction, vertex); these
+    # bodies read no cell, so each entry is a constant and none searches
+    assert builds and max(builds.values()) == 1
+    assert not searched
+
+
+# (VCHECK, CHECK) instructions of each compiled library program
+FOLD_COVERAGE = {
+    "Amazons": (0, 0),
+    "Breakthrough": (2, 3),
+    "Connect-4": (9, 0),
+    "Gomoku": (7, 0),
+    "Hex": (6, 3),
+    "Reversi": (34, 5),
+    "Tic-Tac-Toe": (7, 0),
+}
+
+# SEARCH entries in the VCHECK tables after the seed-0 compiled playout:
+# only the bodies that open with anySquare (Connect-4's anyLine4,
+# Gomoku's anyLine5, one per player) pass the expansion bound
+SEARCH_ENTRIES = {"Connect-4": 14, "Gomoku": 132}
+
+
+@pytest.mark.parametrize("game", sorted(FOLD_COVERAGE))
+def test_fold_coverage_is_pinned(game):
+    eng = library.make_engine(game, "compiled")
+    program = eng.program
+    ops = opcode_counts(eng)
+    assert (ops[VCHECK], ops[CHECK]) == FOLD_COVERAGE[game]
+    run_playout(eng, 0)
+    tables = {
+        id(instr[3]): (instr[2], instr[3])
+        for instr in program.instrs if instr[0] == VCHECK
+    }
+    searching = [
+        (entry, table) for entry, table in tables.values()
+        if SEARCH in table.values()
+    ]
+    assert sum(
+        entry is SEARCH for _, table in searching for entry in table.values()
+    ) == SEARCH_ENTRIES.get(game, 0)
+    assert len(searching) == (2 if game in SEARCH_ENTRIES else 0)
+    everywhere = set(range(eng.board.vertex_count))
+    for entry, table in searching:
+        # the body's first step reaches every cell from any vertex, and
+        # no vertex of it is answered from a test list
+        assert set(table.values()) == {SEARCH}
+        jumps = program.instrs[entry]
+        assert jumps[0] == JUMPS
+        assert set(program.jump_exits(jumps[2], 0)[1]) == everywhere
+
+
+def cell_test_body(rng):
+    """A check body of shifts, piece tests, Alt and Star: a VCHECK body.
+    Half the draws open with a pure loop at one vertex, a star that steps
+    to a neighbour and back testing cells, so that a body tests one cell
+    more than once."""
+    body = random_micro_pattern(rng, 1, allow_mutation=False)
+    if rng.random() < 0.5:
+        there, back = rng.choice((("up", "down"), ("left", "right")))
+        step = (ast.Name(there), ast.On(tuple(rng.sample(PIECES, 2))),
+                ast.Name(back))
+        loop = ast.Star(ast.Concat(rng.sample(step, 3)))
+        body = ast.Concat((loop, body, ast.On(tuple(rng.sample(PIECES, 2)))))
+    return body
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_check_tests_match_search_of_unfolded_body(seed):
+    # The body is asked at the top level ({? body}, so ``semimoves``
+    # evaluates its table) and inside another check ({? {! body}}, so
+    # ``_exists`` does); small bounds leave some vertices or all of them
+    # to the SEARCH fallback.  Exactly one move is legal: [w] where the
+    # body holds, [b] where it does not.
+    rng = random.Random(seed)
+    cols = rng.randint(2, 4)
+    rows = [["e"] * cols for _ in range(rng.randint(1, 3))]
+    body = render(cell_test_body(rng))
+    game = micro_game(
+        rows, f"->p ( {{? {body}}} [w] -> q + {{? {{! {body}}}}} [b] -> q )*"
+    )
+    bound = rng.choice((0, 3, 12, compiler.CHECK_TEST_BOUND))
+    with mock.patch.object(compiler, "CHECK_TEST_BOUND", bound):
+        eng = RbgCompiledEngine(game)
+        assert opcode_counts(eng)[VCHECK] >= 2
+        unfolded = RbgCompiledEngine(game)
+        unfolded.program = unfolded_program(game)
+        assert VCHECK not in opcode_counts(unfolded)
+        sub = next(  # the body, the one check body that nests no check
+            instr[5] for instr in unfolded.program.instrs
+            if instr[0] == CHECK and all(
+                label[0] != "check" for out in instr[5].edges for label, _ in out
+            )
+        )
+        for _ in range(4):
+            contents = [rng.randrange(len(PIECES)) for _ in range(cols * len(rows))]
+            for vertex in range(len(contents)):
+                state = eng.initial_state()
+                state.contents, state.current_vertex = contents, vertex
+                found = unfolded._exists(sub, vertex, list(contents), {}, True)
+                piece = PIECES.index("w" if found else "b")
+                assert [m.effects for m in eng.semimoves(state)] == [
+                    (("cell", vertex, piece), ("pass", 2))
+                ], (body, rows, contents, vertex, bound)
 
 
 def test_tail_past_the_effect_cap_names_itself(monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from ggs.core.board import RECT_DIRECTIONS
 from ggs.core.model import IllegalMove, Move
-from ggs.rbg import ast, engine as rbg_engine
+from ggs.rbg import ast, compiler, engine as rbg_engine
 from ggs.rbg.compiler import (
     ASSIGN,
     CHECK,
@@ -225,20 +225,13 @@ def random_micro_pattern(rng, depth=0, allow_mutation=True, allow_check=False):
             k = rng.randint(1, 2)
             return ast.On(tuple(rng.sample(PIECES, k)))
         return ast.SetHere(rng.choice(PIECES))
-    if roll < 0.65:
-        return ast.Concat(
-            tuple(
-                random_micro_pattern(rng, depth + 1, allow_mutation, allow_check)
-                for _ in range(2)
-            )
-        )
     if roll < 0.85:
-        return ast.Alt(
-            tuple(
-                random_micro_pattern(rng, depth + 1, allow_mutation, allow_check)
-                for _ in range(2)
-            )
+        # two or three parts: a three-way Alt is a FORK of three branches
+        parts = tuple(
+            random_micro_pattern(rng, depth + 1, allow_mutation, allow_check)
+            for _ in range(rng.randint(2, 3))
         )
+        return ast.Concat(parts) if roll < 0.65 else ast.Alt(parts)
     # checked only when allowed, so the draws stay the same without checks
     if allow_check and roll < 0.93:
         return ast.Check(
@@ -250,15 +243,19 @@ def random_micro_pattern(rng, depth=0, allow_mutation=True, allow_check=False):
 
 
 def random_fold_shapes(rng):
-    """(check, chain): a check on a shift-only body, as in ``{! up}`` or
-    ``{? left left}``, and one or two writes to end a turn with, as in
-    ``[w] [$ p=1] -> q``; the compiled lowering folds a shift-only check
-    into a VCHECK and a write chain before a switch or keep into a TAIL."""
-    shifts = " ".join(
-        render(ast.Name(rng.choice(RECT_DIRECTIONS[:4])))
-        for _ in range(rng.randint(1, 2))
-    )
-    check = "{" + rng.choice("?!") + f" {shifts}}}"
+    """(check, chain): a check on a body of shifts and piece tests, as in
+    ``{! up}``, ``{? left left}`` or ``{! (down {e})*}``, and one or two
+    writes to end a turn with, as in ``[w] [$ p=1] -> q``; the compiled
+    lowering folds such a check into a VCHECK and a write chain before a
+    switch or keep into a TAIL."""
+    if rng.random() < 0.5:
+        body = " ".join(
+            render(ast.Name(rng.choice(RECT_DIRECTIONS[:4])))
+            for _ in range(rng.randint(1, 2))
+        )
+    else:
+        body = render(random_micro_pattern(rng, 1, allow_mutation=False))
+    check = "{" + rng.choice("?!") + f" {body}}}"
     chain = " ".join(
         render(ast.SetHere(rng.choice(PIECES))) if rng.random() < 0.5
         else render(ast.AssignVars(((rng.choice("pq"), rng.randint(0, 100)),)))
@@ -479,8 +476,11 @@ def test_runaway_error_names_instruction_and_vertex(
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
-def test_semimoves_repeats_no_lookahead_query(engine_cls):
-    # Tic-Tac-Toe asks {? line3(me)} and {! line3(me)} after each placement
+def test_semimoves_repeats_no_lookahead_query(engine_cls, monkeypatch):
+    # Tic-Tac-Toe asks {? line3(me)} and {! line3(me)} after each
+    # placement; with no expansion step allowed, every vertex of the
+    # compiled executor's VCHECK tables is left to a search of its body
+    monkeypatch.setattr(compiler, "CHECK_TEST_BOUND", 0)
     game = RbgGame.from_text(library.load_description("tictactoe", "rbg"))
     eng = engine_cls(game)
     state = eng.initial_state()
@@ -653,7 +653,7 @@ def draw_walk_order_game(rng):
     second = random_micro_pattern(rng, allow_check=True)
     rules = f"->p ( {render(first)} -> q {render(second)} -> p )*"
     if rng.random() < 0.5:
-        # a shift-only check where the first turn's movement ends, and
+        # a cell-test-only check where the first turn's movement ends, and
         # write chains ending both turns, one before a switch and one
         # before a keep
         check, chain = random_fold_shapes(rng)
