@@ -19,15 +19,18 @@ or a SHIFT becomes a JUMPS where the program enters it.  The JUMPS
 stands for the node's region, the FORK and SHIFT steps reachable from
 it through FORK and SHIFT alone, which go into ``region`` under negative
 ids; its table gives the exits the region reaches from each vertex.
-Two more folds are made only there.  A SET/ASSIGN edge that starts a
-chain of such edges, one per node, ending in a switch or keep becomes a
-TAIL, which emits the move the chain would build without stepping
-through it.  A check whose body reaches only JUMPS, ON and ACCEPT
-writes nothing and only tests cells along paths fixed by the vertex it
-starts from: it becomes a VCHECK, whose table gives, per vertex, the
-body's answer as a constant or as an OR of ANDs of (cell, piece set)
-tests, or SEARCH where expanding the body takes more than
-CHECK_TEST_BOUND steps (see ``LoweredProgram.check_tests``).
+One more fold is made only there: a SET/ASSIGN edge that starts a chain
+of such edges, one per node, ending in a switch or keep becomes an EMIT
+that carries the chain's writes, so it emits the move the chain would
+build without stepping through it.
+
+Every CHECK carries a per-vertex table, shared by the checks on one
+body, of what the body asks at each vertex: a constant, an OR of ANDs of
+(cell, piece set) tests, or SEARCH where expanding the body meets
+anything but JUMPS, ON and ACCEPT or takes more than CHECK_TEST_BOUND
+steps (see ``LoweredProgram.check_tests``).  In the interpreter's program
+the expansion stops at the first FORK or SHIFT, so there only a body of
+piece tests alone, such as ``{e}``, is answered without a search.
 Nothing the program cannot reach is lowered, so every instruction index
 is final when it is allocated and no pass renumbers the program.
 """
@@ -45,17 +48,17 @@ SHIFT = 1     # (SHIFT, dir, next)
 ON = 2        # (ON, pieceset, next)
 SET = 4       # (SET, piece, next)
 ASSIGN = 5    # (ASSIGN, assigns, next)
-EMIT = 6      # (EMIT, player_or_None, control_node)  None => keep mover
-CHECK = 8     # (CHECK, positive, sub_entry, pure, next, sub_nfa)
+EMIT = 6      # (EMIT, writes, player_or_None, control_node, table)
+#               None => keep mover; writes: ((SET, piece) | (ASSIGN,
+#               assigns), ...) made before the move is emitted, () for a
+#               plain switch or keep; table: vertex -> the effects the
+#               writes make there, filled on first use
+CHECK = 8     # (CHECK, positive, sub_entry, pure, next, sub_nfa, tests)
+#               tests: vertex -> what the body asks there (``check_tests``),
+#               filled on first use and shared by the body's checks
 ACCEPT = 9    # (ACCEPT,)
 JUMPS = 10    # (JUMPS, table, region_start)  table: vertex -> (exit
 #               indices, exit vertices), filled on first use
-TAIL = 11     # (TAIL, writes, player_or_None, control_node, table)  writes:
-#               ((SET, piece) | (ASSIGN, assigns), ...); table: vertex ->
-#               the effects the writes make there, filled on first use
-VCHECK = 12   # (VCHECK, positive, sub_entry, tests, next, sub_nfa)
-#               tests: vertex -> what the body asks there (``check_tests``),
-#               filled on first use and shared by the body's checks
 # Retired with the guarded-shift and ray-scan passes (jump tables made
 # them slower than no pass); no lowering emits them, but external
 # listings such as perfbench's still name them.
@@ -78,8 +81,6 @@ _NAMES = {
     CHECK: "check",
     ACCEPT: "accept",
     JUMPS: "jumps",
-    TAIL: "emit",
-    VCHECK: "check",
 }
 
 
@@ -88,7 +89,7 @@ class LoweredProgram:
     instrs: list
     entry: dict  # control node id -> instruction index (main program)
     # id(check body Nfa) -> (entry index of its sub-program, the tests
-    # table its VCHECKs share or None)
+    # table its CHECKs share)
     bodies: dict
     shift_table: list  # shift_table[direction][vertex] -> vertex or OFF_BOARD
     # The FORK and SHIFT steps the JUMPS instructions stand for, under
@@ -128,11 +129,13 @@ class LoweredProgram:
         return interned.setdefault(idxs, idxs), interned.setdefault(verts, verts)
 
     def check_tests(self, entry: int, vertex: int):
-        """What the body lowered at ``entry``, which reaches only JUMPS,
-        ON and ACCEPT, asks at ``vertex``: True or False when its answer
-        is fixed there, else a tuple of conjuncts of which one must hold,
-        each a tuple of (cell, piece set) tests sorted by cell; or SEARCH
-        when expanding it takes more than CHECK_TEST_BOUND steps.
+        """What the body lowered at ``entry`` asks at ``vertex``: True or
+        False when its answer is fixed there, else a tuple of conjuncts of
+        which one must hold, each a tuple of (cell, piece set) tests sorted
+        by cell; or SEARCH when its expansion from ``vertex`` meets an
+        instruction other than JUMPS, ON and ACCEPT (a write, a nested
+        check, or a FORK or SHIFT of an unfolded program) or takes more
+        than CHECK_TEST_BOUND steps.
 
         A depth-first expansion over (instruction, vertex, conjunct):
         each ON intersects its set into the conjunct's test of its cell,
@@ -164,7 +167,9 @@ class LoweredProgram:
                 if exits is None:
                     exits = instr[1][v] = self.jump_exits(instr[2], v)
                 stack.extend((t, nv, tests) for t, nv in zip(*exits))
-            elif tests:  # ACCEPT
+            elif op != ACCEPT:
+                return SEARCH
+            elif tests:
                 found[tests] = None
             else:
                 return True
@@ -196,8 +201,8 @@ def tests_hold(tests: tuple, contents) -> bool:
     return False
 
 
-def tail_effects(writes: tuple, vertex: int) -> tuple:
-    """The effects a TAIL's ``writes`` make at ``vertex``, in order."""
+def write_effects(writes: tuple, vertex: int) -> tuple:
+    """The effects an EMIT's ``writes`` make at ``vertex``, in order."""
     effects: list = []
     for op, arg in writes:
         if op == SET:
@@ -230,15 +235,13 @@ class _Lowerer:
     """Lowers what the program reaches from its roots, each node once,
     numbered in the order the lowering reaches it.  With ``jumps`` a
     node whose instruction would be a FORK or a SHIFT becomes a JUMPS,
-    and its region's FORK and SHIFT steps go into ``region``; a write
-    chain ending in a switch or keep becomes a TAIL, and a check on a
-    body that only tests cells becomes a VCHECK."""
+    and its region's FORK and SHIFT steps go into ``region``, and a write
+    chain ending in a switch or keep becomes one EMIT."""
 
     def __init__(self, jumps: bool):
         self.jumps = jumps
         self.instrs: list = []
-        # id(sub Nfa) -> (entry index, the tests table its VCHECKs share,
-        # or None for a body that writes or nests a check)
+        # id(sub Nfa) -> (entry index, the tests table its CHECKs share)
         self.bodies: dict[int, tuple] = {}
         self.region: dict = {}  # region id (< 0) -> FORK or SHIFT step
 
@@ -301,9 +304,9 @@ class _Lowerer:
         def edge(label, target: int) -> tuple:
             """The instruction for an action edge: with ``jumps``, a write
             chain in the main automaton that ends in a switch or keep is
-            one TAIL."""
+            one EMIT."""
             return (
-                jumps and not sub and self._tail(edges, label, target)
+                jumps and not sub and self._write_chain(edges, label, target)
                 or self._edge(label, target, at)
             )
 
@@ -333,10 +336,10 @@ class _Lowerer:
         return entry
 
     @staticmethod
-    def _tail(edges, label, target: int):
-        """An edge of the main automaton as a TAIL, when it and the edges
-        after it are SET/ASSIGN edges, one per node, up to a node whose
-        one edge is a switch or keep; otherwise None."""
+    def _write_chain(edges, label, target: int):
+        """An edge of the main automaton as an EMIT with writes, when it
+        and the edges after it are SET/ASSIGN edges, one per node, up to a
+        node whose one edge is a switch or keep; otherwise None."""
         writes: list = []
         seen = set()
         while True:
@@ -347,7 +350,7 @@ class _Lowerer:
                 writes.append((ASSIGN, label[1]))
             elif kind in ("switch", "keep") and writes:
                 player = label[1] if kind == "switch" else None
-                return (TAIL, tuple(writes), player, target, {})
+                return (EMIT, tuple(writes), player, target, {})
             else:
                 return None
             if target in seen or len(edges[target]) != 1:
@@ -355,44 +358,20 @@ class _Lowerer:
             seen.add(target)
             (label, target), = edges[target]
 
-    def _tests_cells_only(self, entry: int) -> bool:
-        """Whether the body lowered at ``entry`` reaches only JUMPS, ON
-        and ACCEPT, JUMPS exits included: it writes nothing and nests no
-        check, so at each vertex it asks for cells along fixed paths."""
-        stack, seen = [entry], set()
-        while stack:
-            i = stack.pop()
-            if i in seen:
-                continue
-            seen.add(i)
-            instr = self.instrs[i]
-            if instr[0] == JUMPS:  # the lowerer holds the program's region
-                stack.extend(region_exits(self, instr[2])[1])
-            elif instr[0] == ON:
-                stack.append(instr[2])
-            elif instr[0] != ACCEPT:
-                return False
-        return True
-
     def _edge(self, label, target: int, at) -> tuple:
         kind = label[0]
         if kind == "switch":
-            return (EMIT, label[1], target)
+            return (EMIT, (), label[1], target, {})
         if kind == "keep":
-            return (EMIT, None, target)
+            return (EMIT, (), None, target, {})
         if kind == "check":
             sub = label[2]
             body = self.bodies.get(id(sub))
             if body is None:
                 entry = self.lower_nfa(sub, True, (sub.start,))[sub.start]
-                body = self.bodies[id(sub)] = (
-                    entry,
-                    {} if self.jumps and self._tests_cells_only(entry) else None,
-                )
+                body = self.bodies[id(sub)] = (entry, {})
             entry, tests = body
-            if tests is not None:
-                return (VCHECK, label[1], entry, tests, at(target), sub)
-            return (CHECK, label[1], entry, label[3], at(target), sub)
+            return (CHECK, label[1], entry, label[3], at(target), sub, tests)
         nxt = at(target)
         if kind == "shift":
             return (SHIFT, label[1], nxt)
@@ -409,10 +388,9 @@ def lower(nfa: Nfa, board, optimize: bool) -> LoweredProgram:
     """Lower what an automaton's control nodes (switch and keep targets)
     reach into an instruction program whose ``entry`` maps those nodes.
     With ``optimize`` (the compiled executor) epsilon edges are
-    eliminated first, FORK/SHIFT regions become jump tables, write chains
-    before a switch become TAILs and checks on bodies that only test cells
-    become VCHECKs; without it (the interpreter) the automaton is lowered
-    as it is."""
+    eliminated first, FORK/SHIFT regions become jump tables and write
+    chains before a switch or keep become EMITs with writes; without it
+    (the interpreter) the automaton is lowered as it is."""
     if optimize:
         nfa = eliminate_epsilon(nfa)
     controls = sorted({
@@ -448,23 +426,23 @@ def dump_ir(program: LoweredProgram) -> str:
             assigns = ",".join(f"{n}={v}" for n, v in instr[1])
             lines.append(f"{i:4d}: {name} {assigns} -> {instr[2]}")
         elif op == EMIT:
-            who = "keep" if instr[1] is None else f"player{instr[1]}"
-            lines.append(f"{i:4d}: {name} {who} @node{instr[2]}")
-        elif op == TAIL:
             who = "keep" if instr[2] is None else f"player{instr[2]}"
             writes = ", ".join(
                 f"set p{arg}" if w == SET
                 else "assign " + ",".join(f"{n}={v}" for n, v in arg)
                 for w, arg in instr[1]
             )
-            lines.append(f"{i:4d}: {name} {who} @node{instr[3]} <- {writes}")
+            lines.append(
+                f"{i:4d}: {name} {who} @node{instr[3]}"
+                + (f" <- {writes}" if writes else "")
+            )
         elif op == JUMPS:
             size, exits = region_exits(program, instr[2])
             targets = " ".join(str(t) for t in exits)
             lines.append(f"{i:4d}: {name} ({size} fork/shift) -> [{targets}]")
-        elif op in (CHECK, VCHECK):
+        elif op == CHECK:
             sign = "?" if instr[1] else "!"
-            body = "vertex" if op == VCHECK else "pure" if instr[3] else "impure"
+            body = "pure" if instr[3] else "impure"
             lines.append(
                 f"{i:4d}: {name}{sign} sub@{instr[2]} ({body}) -> {instr[4]}"
             )

@@ -9,34 +9,37 @@ both guards against pure loops and merges duplicate action paths; each
 distinct effect sequence gets an interned id within the call, so a
 configuration key costs O(1) however long the sequence, and no rule
 needs deep recursion.  Writes are undone by entries on the same stack.
-A semi-move is emitted at every EMIT (a switch edge); move identity is
-the emitted effect sequence, and its control point is the smallest
-(automaton node after the switch, vertex) that any path emitting it
-reaches, so it does not depend on the order a program searches in.  A
-cap on the effect sequence stops runaway rules.
+A semi-move is emitted at every EMIT (a switch or keep edge, after the
+writes it carries); move identity is the emitted effect sequence, and
+its control point is the smallest (automaton node after the switch,
+vertex) that any path emitting it reaches, so it does not depend on the
+order a program searches in.  A cap on the effect sequence stops runaway
+rules.
 In the compiled program a JUMPS instruction stands for a whole region
 of FORK and SHIFT steps: it looks up the region's exits from the
 current vertex (built on first use, in the order stepping through the
 region would reach them) and tests an exit that is an ON in place, so
-movement such as ``anySquare`` costs one walker step.  A TAIL stands for
-a chain of writes that ends in a switch or keep: it extends the effect
-id by the chain's effects at the current vertex (built on first use)
-and emits the move, with no board write or undo entry.
+movement such as ``anySquare`` costs one walker step.  An EMIT that
+carries writes stands for a chain of writes that ends in a switch or
+keep: it extends the effect id by the chain's effects at the current
+vertex (built on first use) and emits the move, with no board write or
+undo entry.
 
-Lookahead checks run ``_exists`` on the check body's sub-automaton, which
-equal bodies share, starting from its lowered entry.  Within one
-``semimoves`` call its answers are memoized on (sub entry, vertex,
+A lookahead check first reads its body's per-vertex table, built on
+first use and kept for the engine's lifetime: where the body only tests
+cells along paths fixed by the vertex (in the compiled program ``{! up}``
+or ``{! down {e}}``), the entry is a constant answer or (cell, piece set)
+tests to evaluate on the board, with no search.  Elsewhere the entry is
+``SEARCH`` (a body that writes or nests a check, one that passed the
+expansion bound such as Connect-4's ``anyLine4``, and in the interpreter
+any body that moves), and ``_exists`` searches the check body's
+sub-automaton, which equal bodies share, from its lowered entry.  Within
+one ``semimoves`` call those answers are memoized on (sub entry, vertex,
 effect id), so ``{? b}`` and ``{! b}`` at one configuration cost one
 search.  Every body, with or without writes, is searched with an
 explicit stack over (instruction, vertex, net tentative writes), so a
 body's loops need no separate guard; a budget on write expansions stops
-runaway bodies.  A body that only tests cells along fixed paths (a
-VCHECK in the compiled program, such as ``{! up}`` or ``{! down {e}}``)
-is not searched: its table, built per vertex on first use and kept for
-the engine's lifetime, gives a constant answer or (cell, piece set)
-tests to evaluate on the board.  Only where building that entry passed
-its step bound (``SEARCH``, as for Connect-4's ``anyLine4``) is the body
-searched, through the same memo as a CHECK.
+runaway bodies.
 """
 
 from __future__ import annotations
@@ -69,9 +72,7 @@ from .compiler import (
     SET,
     SEARCH,
     SHIFT,
-    TAIL,
-    VCHECK,
-    tail_effects,
+    write_effects,
     tests_hold,
 )
 from .expand import RbgValidationError, UnknownMacro, expand_macros
@@ -395,54 +396,31 @@ class RbgEngineBase(Engine):
                             "runaway effect sequence in rules pattern", idx, vertex
                         )
                 elif op == EMIT:
-                    control = (instr[2], vertex)
-                    move = found.get((eid, instr[1]))
-                    if move is None:
-                        if instr[1] is None:
-                            seq, replay = tuple(effects), True
-                        else:
-                            seq = tuple(effects) + (("pass", instr[1]),)
-                            replay = False
-                        found[eid, instr[1]] = Move(seq, replay, control)
-                    elif control < move.control:
-                        move.control = control
-                    break
-                elif op == CHECK:
-                    query = (instr[2], vertex, eid)
-                    hit = lookahead.get(query)
-                    if hit is None:
-                        hit = lookahead[query] = self._exists(
-                            instr[5], vertex, contents, variables, instr[3]
-                        )
-                    if hit != instr[1]:
-                        break
-                    idx = instr[4]
-                elif op == TAIL:
-                    tail = instr[4].get(vertex)
-                    if tail is None:
-                        tail = instr[4][vertex] = tail_effects(instr[1], vertex)
-                    if len(effects) + len(tail) > cap:
+                    written = instr[4].get(vertex)
+                    if written is None:
+                        written = instr[4][vertex] = write_effects(instr[1], vertex)
+                    if len(effects) + len(written) > cap:
                         raise RunawaySearch(
                             "runaway effect sequence in rules pattern", idx, vertex
                         )
-                    for effect in tail:
+                    for effect in written:
                         eid = ids.setdefault((eid, effect), len(ids) + 1)
                     control = (instr[3], vertex)
                     move = found.get((eid, instr[2]))
                     if move is None:
                         if instr[2] is None:
-                            seq, replay = tuple(effects) + tail, True
+                            seq, replay = tuple(effects) + written, True
                         else:
-                            seq = tuple(effects) + tail + (("pass", instr[2]),)
+                            seq = tuple(effects) + written + (("pass", instr[2]),)
                             replay = False
                         found[eid, instr[2]] = Move(seq, replay, control)
                     elif control < move.control:
                         move.control = control
                     break
-                elif op == VCHECK:
-                    tests = instr[3].get(vertex)
+                elif op == CHECK:
+                    tests = instr[6].get(vertex)
                     if tests is None:
-                        tests = instr[3][vertex] = prog.check_tests(
+                        tests = instr[6][vertex] = prog.check_tests(
                             instr[2], vertex
                         )
                     if tests.__class__ is tuple:
@@ -452,7 +430,7 @@ class RbgEngineBase(Engine):
                         hit = lookahead.get(query)
                         if hit is None:
                             hit = lookahead[query] = self._exists(
-                                instr[5], vertex, contents, variables, True
+                                instr[5], vertex, contents, variables, instr[3]
                             )
                     else:
                         hit = tests
@@ -525,25 +503,21 @@ class RbgEngineBase(Engine):
                             stack.append(nxt)
                     continue
                 elif op == CHECK:
-                    if self._exists(
-                        instr[5], v, contents, variables, instr[3]
-                    ) != instr[1]:
-                        continue
-                    nxt = (instr[4], v, writes)
-                elif op == VCHECK:
-                    tests = instr[3].get(v)
+                    tests = instr[6].get(v)
                     if tests is None:
-                        tests = instr[3][v] = program.check_tests(instr[2], v)
+                        tests = instr[6][v] = program.check_tests(instr[2], v)
                     if tests.__class__ is tuple:
                         hit = tests_hold(tests, contents)
                     elif tests is SEARCH:
-                        hit = self._exists(instr[5], v, contents, variables, True)
+                        hit = self._exists(
+                            instr[5], v, contents, variables, instr[3]
+                        )
                     else:
                         hit = tests
                     if hit != instr[1]:
                         continue
                     nxt = (instr[4], v, writes)
-                else:  # SET or ASSIGN; EMIT and TAIL cannot occur in checks
+                else:  # SET or ASSIGN; EMIT cannot occur in checks
                     budget -= 1
                     if budget < 0:
                         raise RunawaySearch("runaway mutation in lookahead", idx, v)

@@ -20,8 +20,6 @@ from ggs.rbg.compiler import (
     JUMPS,
     SEARCH,
     SHIFT,
-    TAIL,
-    VCHECK,
     LoweredProgram,
     _Lowerer,
     dump_ir,
@@ -57,6 +55,18 @@ def opcode_counts(engine):
     return Counter(instr[0] for instr in engine.program.instrs)
 
 
+def write_emits(program) -> int:
+    """How many EMITs of ``program`` carry a folded write chain."""
+    return sum(instr[0] == EMIT and bool(instr[1]) for instr in program.instrs)
+
+
+def check_tables(program) -> list:
+    """The per-vertex tables of ``program``'s checks, one per body."""
+    return list({
+        id(instr[6]): instr[6] for instr in program.instrs if instr[0] == CHECK
+    }.values())
+
+
 def test_dump_ir_is_byte_stable():
     def build():
         game = RbgGame.from_text(library.load_description("amazons", "rbg"))
@@ -73,17 +83,17 @@ LOWERED_GOLDEN = {
     "Amazons":
         "36b237cdac4e6ae97b3c62521d44a98e1be1a460074f647b20b4274758830220",
     "Breakthrough":
-        "cc22530c69b1e2ffe74c6110d89113483dd0696e4099c19546c085b6ef3d136a",
+        "fa86b55ed5a5b05e30b3071c235fa494e054ad2c1ce969824adcfd7aae92c82d",
     "Connect-4":
-        "2b9ee00f7d6c17cd0ffb85ae144b0a45a755782c23e443b966eefeb8a5bfc076",
+        "02f11537c9f632e9cb16bfd969223ad5c14e87ecde2d53e5380886bde22865e4",
     "Gomoku":
-        "48e04e353868d294794fda6f3909b8f4b22e9f561a150610f77d8981314e0c15",
+        "039576bcb756c457ef30728f25a8fe88d34ea15324843cb657a7200e55af2325",
     "Hex":
-        "0ef0f48ad110ec9e430078c9baf1921c1fca489a00a324156143e3e623c21ed4",
+        "b7b541b35a234db36ae166215189581be4fa8ddd3a585078167d02592ddd8180",
     "Reversi":
-        "0cdb13c7049b3a76dd89d60cd3c91a27fd584100758851fe0ff5a1eace098613",
+        "2148f23163ba2afa58bb88c6238c86a49fca814ea93d75e2ff6d0206328538b9",
     "Tic-Tac-Toe":
-        "1f661048d4f2d4c5a2331378a15368d62c41d31611bb01d387febb18f2ab9935",
+        "d9682de0fe0c6da7f2eb4b36914d4846bce653c20077181495f6bdc3c34fae3e",
 }
 
 
@@ -93,17 +103,17 @@ SHAPE_GOLDEN = {
     "Amazons":
         "9fc0992b1db897009c828a37eebbcdacb61182e02382bb07a7b4b81b933a082d",
     "Breakthrough":
-        "840fd0cac31c56e6ee19c8c46d94b5eac6bac35e999308218dc1c3ff91599f06",
+        "232709281cfe28ce922a5622d9b9df2e938c32a7bff4a06cff4454aa56dcbb94",
     "Connect-4":
-        "2d66642dab14f703f47fb8626a8cba035f22cfd925d9a6d4a97c901ea186749a",
+        "24375a8c2430963b7ddaed2f453b9ec1a8bc49f10d7ccacaaf4f8278aa3a1fb4",
     "Gomoku":
-        "d76bcffe7fcec1e44bdf22948a3e72f90558c972e2e595944ac206774887302d",
+        "08654b52b728ca87c1ddaad504b22b1714d5a08c79d3a11af86a2be175ca42f9",
     "Hex":
-        "69c96849a5154bbaf3a30cd7892587d666bf6c7557e893edb8d9a15a0d5c3265",
+        "0dfdd3bdc1ac0f30e9b2374656fec1499cf98848b345630ad334c71b87568ae5",
     "Reversi":
-        "514dd62eaca4d16d44389ef471eaa0ae8009ef3b55949979cfaf855250669494",
+        "c255cdb2b56442855471d23d7615c6ca27ca698f411cb63d041900b2444e9e11",
     "Tic-Tac-Toe":
-        "f6c0e4dcdaed1959ae05ff8005572d700c3763a217878843047f177ffdedfe5e",
+        "331745f6be20cce76aa1775bf02efa39d55941e0c7f1cdce63157bb82444388d",
 }
 
 
@@ -154,17 +164,15 @@ def program_shape(program) -> tuple[str, int]:
             fields = tuple(ref(t) for t in instr[1])
         elif op == CHECK:
             fields = (instr[1], ref(instr[2]), instr[3], ref(instr[4]))
-        elif op == VCHECK:
-            fields = (instr[1], ref(instr[2]), ref(instr[4]))
-        elif op == TAIL:
+        elif op == EMIT:
             fields = instr[1:4]
         elif op == JUMPS:
             fields = (
                 tuple(ref(t) for t in region_exits(program, instr[2])[1]),
                 region_shape(program, instr[2]),
             )
-        elif op in (EMIT, ACCEPT):
-            fields = instr[1:]
+        elif op == ACCEPT:
+            fields = ()
         else:
             fields = tuple(
                 tuple(sorted(f)) if isinstance(f, frozenset) else f
@@ -182,11 +190,19 @@ def test_reachable_program_is_pinned(game):
 
 @pytest.mark.parametrize("game", sorted(SHAPE_GOLDEN))
 def test_interpreter_program_is_unoptimized_and_live(game):
-    program = library.make_engine(game, "interpreter").program
-    ops = Counter(instr[0] for instr in program.instrs)
-    assert ops[JUMPS] == ops[TAIL] == ops[VCHECK] == 0
+    # no jump table and no folded write chain; every library check body
+    # opens with a FORK or a SHIFT, so each table entry the playout builds
+    # is SEARCH
+    eng = library.make_engine(game, "interpreter")
+    program = eng.program
+    assert opcode_counts(eng)[JUMPS] == 0
+    assert write_emits(program) == 0
     _, reachable = program_shape(program)
     assert reachable == len(program.instrs)
+    run_playout(eng, 0)
+    entries = [entry for table in check_tables(program) for entry in table.values()]
+    assert all(entry is SEARCH for entry in entries)
+    assert bool(entries) == (game != "Amazons")
 
 
 def test_both_executors_share_one_walker():
@@ -293,7 +309,7 @@ def test_equal_check_bodies_share_one_subprogram():
                 signs_by_sub.setdefault(id(label[2]), set()).add(label[1])
     signs_by_entry = {}
     for instr in RbgCompiledEngine(game).program.instrs:
-        if instr[0] in (CHECK, VCHECK):
+        if instr[0] == CHECK:
             signs_by_entry.setdefault(instr[2], set()).add(instr[1])
     expected = [[False], [False], [False, True], [False, True]]
     assert sorted(sorted(v) for v in signs_by_sub.values()) == expected
@@ -404,13 +420,19 @@ def assert_interpreter_finds_same_moves(game, seed, plies):
         state = compiled.apply(state, rng.choice(moves))
 
 
+def search_everywhere(program) -> LoweredProgram:
+    """``program`` with every check-table entry SEARCH, so that every
+    check searches its body at each configuration."""
+    program.check_tests = lambda entry, vertex: SEARCH
+    return program
+
+
 def unfolded_program(game) -> LoweredProgram:
     """The compiled program as the lowering builds it with jump tables on
     and both folds off: every write of a chain is its own instruction,
     and every check searches its body at each configuration."""
-    with mock.patch.object(_Lowerer, "_tail", staticmethod(lambda *_: None)), \
-            mock.patch.object(_Lowerer, "_tests_cells_only", lambda *_: False):
-        return lower(game.nfa, game.board, optimize=True)
+    with mock.patch.object(_Lowerer, "_write_chain", staticmethod(lambda *_: None)):
+        return search_everywhere(lower(game.nfa, game.board, optimize=True))
 
 
 def assert_folds_change_no_move(game, seed, plies):
@@ -425,7 +447,7 @@ def assert_folds_change_no_move(game, seed, plies):
     folded = RbgCompiledEngine(game)
     unfolded = RbgCompiledEngine(game)
     unfolded.program = unfolded_program(game)
-    assert not {TAIL, VCHECK} & set(opcode_counts(unfolded))
+    assert write_emits(unfolded.program) == 0
     pre_pass = RbgCompiledEngine(game)
     pre_pass.program = pre_pass_program(game)
     rng = random.Random(seed)
@@ -493,8 +515,12 @@ def test_jump_tables_change_no_result_on_micro_games(seed):
     )
     program = assert_jump_tables_change_no_result(game, seed)
     if folds:
-        ops = Counter(instr[0] for instr in program.instrs)
-        assert ops[TAIL] >= 2 and ops[VCHECK] >= 1
+        # the check after the region is answered from its table
+        assert write_emits(program) >= 2
+        assert any(
+            entry is not SEARCH
+            for table in check_tables(program) for entry in table.values()
+        )
 
 
 @settings(max_examples=14, deadline=None, database=None)
@@ -529,12 +555,23 @@ def test_compiled_program_holds_only_live_instructions():
 def test_folds_change_no_result_on_library_games(name):
     game = RbgGame.from_text(library.load_description(name, "rbg"))
     program = assert_folds_change_no_move(game, 0, 6)
-    assert TAIL in {instr[0] for instr in program.instrs}
+    assert write_emits(program) >= 1
 
 
 def test_hex_folds_tails_and_six_vertex_only_checks():
-    ops = opcode_counts(library.make_engine("hex", "compiled"))
-    assert ops[TAIL] >= 1 and ops[VCHECK] == 6 and ops[CHECK] == 3
+    # six of Hex's nine checks only shift, so each vertex of their tables
+    # is a constant; the other three nest a check and search everywhere
+    eng = library.make_engine("hex", "compiled")
+    program = eng.program
+    assert write_emits(program) >= 1 and opcode_counts(eng)[CHECK] == 9
+    run_playout(eng, 0)
+    kinds = Counter(
+        "constant" if all(entry in (True, False) for entry in instr[6].values())
+        else "search" if all(entry is SEARCH for entry in instr[6].values())
+        else "mixed"
+        for instr in program.instrs if instr[0] == CHECK
+    )
+    assert kinds == {"constant": 6, "search": 3}
 
 
 # each turn places on an empty cell that passes a shift-only check made
@@ -558,9 +595,14 @@ TOP_LEVEL_VERTEX_CHECKS = (
 def test_vertex_only_checks_search_once_per_vertex(build, monkeypatch):
     eng = build()
     program = eng.program
-    vertex_only = {
-        id(instr[5]) for instr in program.instrs if instr[0] == VCHECK
+    vertex_only = {  # bodies that only shift
+        id(instr[5]) for instr in program.instrs if instr[0] == CHECK
+        and all(
+            label[0] in ("shift", "eps")
+            for out in instr[5].edges for label, _ in out
+        )
     }
+    assert vertex_only
     builds = Counter()
     searched = []
     check_tests, exists = program.check_tests, eng._exists
@@ -578,61 +620,57 @@ def test_vertex_only_checks_search_once_per_vertex(build, monkeypatch):
     monkeypatch.setattr(eng, "_exists", spy_exists)
     result = run_playout(eng, 0)
     assert result.move_count > 0
-    # the table is shared by every VCHECK on one body, so one build per
-    # (body, vertex) bounds the builds per (instruction, vertex); these
-    # bodies read no cell, so each entry is a constant and none searches
+    # the table is shared by every CHECK on one body, so one build per
+    # (body, vertex) bounds the builds per (instruction, vertex); the
+    # shift-only bodies read no cell, so each entry is a constant and none
+    # searches
     assert builds and max(builds.values()) == 1
     assert not searched
 
 
-# (VCHECK, CHECK) instructions of each compiled library program
+# (constant, tests, SEARCH) entries of the compiled check tables, each
+# body's table counted once, after the seed-0 compiled playout.  SEARCH
+# entries are those of bodies that nest a check (Breakthrough, Hex,
+# Reversi) or open with anySquare (Connect-4's anyLine4, Gomoku's
+# anyLine5), whose expansion passes the bound.
 FOLD_COVERAGE = {
-    "Amazons": (0, 0),
-    "Breakthrough": (2, 3),
-    "Connect-4": (9, 0),
-    "Gomoku": (7, 0),
-    "Hex": (6, 3),
-    "Reversi": (34, 5),
-    "Tic-Tac-Toe": (7, 0),
+    "Amazons": (0, 0, 0),
+    "Breakthrough": (73, 0, 51),
+    "Connect-4": (7, 71, 14),
+    "Gomoku": (0, 449, 132),
+    "Hex": (164, 0, 120),
+    "Reversi": (258, 589, 61),
+    "Tic-Tac-Toe": (0, 25, 0),
 }
-
-# SEARCH entries in the VCHECK tables after the seed-0 compiled playout:
-# only the bodies that open with anySquare (Connect-4's anyLine4,
-# Gomoku's anyLine5, one per player) pass the expansion bound
-SEARCH_ENTRIES = {"Connect-4": 14, "Gomoku": 132}
 
 
 @pytest.mark.parametrize("game", sorted(FOLD_COVERAGE))
 def test_fold_coverage_is_pinned(game):
     eng = library.make_engine(game, "compiled")
-    program = eng.program
-    ops = opcode_counts(eng)
-    assert (ops[VCHECK], ops[CHECK]) == FOLD_COVERAGE[game]
     run_playout(eng, 0)
-    tables = {
-        id(instr[3]): (instr[2], instr[3])
-        for instr in program.instrs if instr[0] == VCHECK
-    }
-    searching = [
-        (entry, table) for entry, table in tables.values()
-        if SEARCH in table.values()
-    ]
-    assert sum(
-        entry is SEARCH for _, table in searching for entry in table.values()
-    ) == SEARCH_ENTRIES.get(game, 0)
-    assert len(searching) == (2 if game in SEARCH_ENTRIES else 0)
-    everywhere = set(range(eng.board.vertex_count))
-    for entry, table in searching:
-        # the body's first step reaches every cell from any vertex, and
-        # no vertex of it is answered from a test list
-        assert set(table.values()) == {SEARCH}
-        jumps = program.instrs[entry]
-        assert jumps[0] == JUMPS
-        assert set(program.jump_exits(jumps[2], 0)[1]) == everywhere
+    program = eng.program
+    kinds = Counter(
+        SEARCH if entry is SEARCH else tuple if entry.__class__ is tuple
+        else bool
+        for table in check_tables(program) for entry in table.values()
+    )
+    assert (kinds[bool], kinds[tuple], kinds[SEARCH]) == FOLD_COVERAGE[game]
+    if game in ("Connect-4", "Gomoku"):
+        # their SEARCH entries are anyLine4's and anyLine5's: the body's
+        # first step reaches every cell from any vertex, so no vertex of
+        # it is answered from a test list
+        everywhere = set(range(eng.board.vertex_count))
+        for instr in program.instrs:
+            if instr[0] == CHECK and SEARCH in instr[6].values():
+                assert set(instr[6].values()) == {SEARCH}
+                jumps = program.instrs[instr[2]]
+                assert jumps[0] == JUMPS
+                assert set(program.jump_exits(jumps[2], 0)[1]) == everywhere
 
 
 def cell_test_body(rng):
-    """A check body of shifts, piece tests, Alt and Star: a VCHECK body.
+    """A check body of shifts, piece tests, Alt and Star, which the
+    compiled tables answer without a search.
     Half the draws open with a pure loop at one vertex, a star that steps
     to a neighbour and back testing cells, so that a body tests one cell
     more than once."""
@@ -646,44 +684,64 @@ def cell_test_body(rng):
     return body
 
 
+def check_body(rng):
+    """A check body: four in ten draws only move and test cells
+    (``cell_test_body``); the others add a cell write that the body then
+    tests or a variable assignment, each beside cell tests, or a nested
+    check beside a drawn pattern that may write and nest checks itself."""
+    roll = rng.random()
+    if roll < 0.4:
+        return cell_test_body(rng)
+    if roll < 0.6:
+        opening = ast.Concat((
+            ast.SetHere(rng.choice(PIECES)),
+            ast.On(tuple(rng.sample(PIECES, rng.randint(1, 2)))),
+        ))
+    elif roll < 0.7:
+        opening = ast.AssignVars(((rng.choice("pq"), rng.randint(0, 100)),))
+    else:
+        opening = ast.Check(rng.random() < 0.5, cell_test_body(rng))
+    rest = (
+        cell_test_body(rng) if roll < 0.7
+        else random_micro_pattern(rng, 1, allow_check=True)
+    )
+    return ast.Concat((opening, rest) if rng.random() < 0.7 else (rest, opening))
+
+
 @settings(max_examples=150, deadline=None, database=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_check_tests_match_search_of_unfolded_body(seed):
     # The body is asked at the top level ({? body}, so ``semimoves``
     # evaluates its table) and inside another check ({? {! body}}, so
-    # ``_exists`` does); small bounds leave some vertices or all of them
-    # to the SEARCH fallback.  Exactly one move is legal: [w] where the
-    # body holds, [b] where it does not.
+    # ``_exists`` does), in both executors, against the same program with
+    # every table entry SEARCH; small bounds leave some vertices or all of
+    # them to the search.  Exactly one move is legal: [w] where the body
+    # holds, [b] where it does not.
     rng = random.Random(seed)
     cols = rng.randint(2, 4)
     rows = [["e"] * cols for _ in range(rng.randint(1, 3))]
-    body = render(cell_test_body(rng))
+    body = render(check_body(rng))
     game = micro_game(
         rows, f"->p ( {{? {body}}} [w] -> q + {{? {{! {body}}}}} [b] -> q )*"
     )
     bound = rng.choice((0, 3, 12, compiler.CHECK_TEST_BOUND))
+    boards = [
+        [rng.randrange(len(PIECES)) for _ in range(cols * len(rows))]
+        for _ in range(4)
+    ]
     with mock.patch.object(compiler, "CHECK_TEST_BOUND", bound):
-        eng = RbgCompiledEngine(game)
-        assert opcode_counts(eng)[VCHECK] >= 2
-        unfolded = RbgCompiledEngine(game)
-        unfolded.program = unfolded_program(game)
-        assert VCHECK not in opcode_counts(unfolded)
-        sub = next(  # the body, the one check body that nests no check
-            instr[5] for instr in unfolded.program.instrs
-            if instr[0] == CHECK and all(
-                label[0] != "check" for out in instr[5].edges for label, _ in out
-            )
-        )
-        for _ in range(4):
-            contents = [rng.randrange(len(PIECES)) for _ in range(cols * len(rows))]
-            for vertex in range(len(contents)):
-                state = eng.initial_state()
-                state.contents, state.current_vertex = contents, vertex
-                found = unfolded._exists(sub, vertex, list(contents), {}, True)
-                piece = PIECES.index("w" if found else "b")
-                assert [m.effects for m in eng.semimoves(state)] == [
-                    (("cell", vertex, piece), ("pass", 2))
-                ], (body, rows, contents, vertex, bound)
+        for engine_cls in (RbgInterpreterEngine, RbgCompiledEngine):
+            eng, searched = engine_cls(game), engine_cls(game)
+            search_everywhere(searched.program)
+            for contents in boards:
+                for vertex in range(len(contents)):
+                    state = eng.initial_state()
+                    state.contents, state.current_vertex = contents, vertex
+                    moves = [m.effects for m in eng.semimoves(state)]
+                    assert len(moves) == 1
+                    assert moves == [
+                        m.effects for m in searched.semimoves(state)
+                    ], (engine_cls.__name__, body, rows, contents, vertex, bound)
 
 
 def test_tail_past_the_effect_cap_names_itself(monkeypatch):
@@ -691,4 +749,5 @@ def test_tail_past_the_effect_cap_names_itself(monkeypatch):
     monkeypatch.setattr(eng, "_effect_cap", 1)
     with pytest.raises(RunawaySearch) as info:
         eng.semimoves(eng.initial_state())
-    assert eng.program.instrs[info.value.instr][0] == TAIL
+    instr = eng.program.instrs[info.value.instr]
+    assert instr[0] == EMIT and instr[1]  # an EMIT with a write chain

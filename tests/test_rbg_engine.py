@@ -23,8 +23,6 @@ from ggs.rbg.compiler import (
     ON,
     SET,
     SHIFT,
-    TAIL,
-    VCHECK,
 )
 from ggs.rbg.engine import (
     RbgCompiledEngine,
@@ -246,8 +244,8 @@ def random_fold_shapes(rng):
     """(check, chain): a check on a body of shifts and piece tests, as in
     ``{! up}``, ``{? left left}`` or ``{! (down {e})*}``, and one or two
     writes to end a turn with, as in ``[w] [$ p=1] -> q``; the compiled
-    lowering folds such a check into a VCHECK and a write chain before a
-    switch or keep into a TAIL."""
+    lowering answers such a check from its per-vertex table and folds a
+    write chain before a switch or keep into the EMIT."""
     if rng.random() < 0.5:
         body = " ".join(
             render(ast.Name(rng.choice(RECT_DIRECTIONS[:4])))
@@ -479,7 +477,7 @@ def test_runaway_error_names_instruction_and_vertex(
 def test_semimoves_repeats_no_lookahead_query(engine_cls, monkeypatch):
     # Tic-Tac-Toe asks {? line3(me)} and {! line3(me)} after each
     # placement; with no expansion step allowed, every vertex of the
-    # compiled executor's VCHECK tables is left to a search of its body
+    # check tables is left to a search of its body
     monkeypatch.setattr(compiler, "CHECK_TEST_BOUND", 0)
     game = RbgGame.from_text(library.load_description("tictactoe", "rbg"))
     eng = engine_cls(game)
@@ -576,8 +574,6 @@ def recursive_semimoves(eng, state):
             for n, v in olds:
                 variables[n] = v
         elif op == EMIT:
-            emit(instr[1], instr[2], vertex)
-        elif op == TAIL:
             # the writes of a folded chain, made as effects only
             for write, arg in instr[1]:
                 if write == SET:
@@ -590,12 +586,11 @@ def recursive_semimoves(eng, state):
                 )
             emit(instr[2], instr[3], vertex)
             del effects[len(so_far):]
-        elif op in (CHECK, VCHECK):
+        elif op == CHECK:
             query = (instr[2], vertex, so_far)
             if query not in lookahead:
-                pure = instr[3] if op == CHECK else True
                 lookahead[query] = eng._exists(
-                    instr[5], vertex, contents, variables, pure
+                    instr[5], vertex, contents, variables, instr[3]
                 )
             if lookahead[query] == instr[1]:
                 walk(instr[4], vertex)
