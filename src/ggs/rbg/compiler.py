@@ -51,8 +51,9 @@ ASSIGN = 5    # (ASSIGN, assigns, next)
 EMIT = 6      # (EMIT, writes, player_or_None, control_node, table)
 #               None => keep mover; writes: ((SET, piece) | (ASSIGN,
 #               assigns), ...) made before the move is emitted, () for a
-#               plain switch or keep; table: vertex -> the effects the
-#               writes make there, filled on first use
+#               plain switch or keep; table: vertex -> the move's tail
+#               there (``emit_tail``): the writes' effects, then a
+#               switch's pass, filled on first use
 CHECK = 8     # (CHECK, positive, sub_entry, pure, next, sub_nfa, tests)
 #               tests: vertex -> what the body asks there (``check_tests``),
 #               filled on first use and shared by the body's checks
@@ -201,14 +202,18 @@ def tests_hold(tests: tuple, contents) -> bool:
     return False
 
 
-def write_effects(writes: tuple, vertex: int) -> tuple:
-    """The effects an EMIT's ``writes`` make at ``vertex``, in order."""
+def emit_tail(writes: tuple, player, vertex: int) -> tuple:
+    """The effects an EMIT adds to a move at ``vertex``: those its
+    ``writes`` make there, in order, then ``("pass", player)`` for a
+    switch (``player`` None is a keep, which adds no pass)."""
     effects: list = []
     for op, arg in writes:
         if op == SET:
             effects.append(("cell", vertex, arg))
         else:
             effects.extend(("var", n, v) for n, v in arg)
+    if player is not None:
+        effects.append(("pass", player))
     return tuple(effects)
 
 

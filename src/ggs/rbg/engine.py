@@ -6,14 +6,18 @@ eliminates epsilon edges and builds jump tables (see ``compiler``).
 Legal-move search is one explicit-stack depth-first loop over
 configurations (instruction, walker vertex, effect id), which
 both guards against pure loops and merges duplicate action paths; each
-distinct effect sequence gets an interned id within the call, so a
-configuration key costs O(1) however long the sequence, and no rule
-needs deep recursion.  Writes are undone by entries on the same stack.
-A semi-move is emitted at every EMIT (a switch or keep edge, after the
-writes it carries); move identity is the emitted effect sequence, and
-its control point is the smallest (automaton node after the switch,
-vertex) that any path emitting it reaches, so it does not depend on the
-order a program searches in.  A cap on the effect sequence stops runaway
+effect sequence a SET or ASSIGN builds gets an interned id within the
+call, so a configuration key costs O(1) however long the sequence, and
+no rule needs deep recursion.  Writes are undone by entries on the same
+stack.  A semi-move is emitted at every EMIT (a switch or keep edge,
+after the writes it carries), which interns nothing and records no
+configuration, since nothing follows it: the move is the effects so far
+plus the EMIT's tail at the vertex (its writes' effects, then a switch's
+pass), and it is keyed by that effect tuple, so a keep and a switch with
+equal writes are two moves.  Its control point is the smallest
+(automaton node after the switch, vertex) that any path emitting it
+reaches, so it does not depend on the order a program searches in.  A
+cap on the effect sequence, a switch's pass not counted, stops runaway
 rules.
 In the compiled program a JUMPS instruction stands for a whole region
 of FORK and SHIFT steps: it looks up the region's exits from the
@@ -21,9 +25,10 @@ current vertex (built on first use, in the order stepping through the
 region would reach them) and tests an exit that is an ON in place, so
 movement such as ``anySquare`` costs one walker step.  An EMIT that
 carries writes stands for a chain of writes that ends in a switch or
-keep: it extends the effect id by the chain's effects at the current
-vertex (built on first use) and emits the move, with no board write or
-undo entry.
+keep: its tail at the current vertex (built on first use) holds the
+chain's effects, so it emits the move with no board write or undo
+entry, and a move made with no earlier write is that tail object
+itself.
 
 A lookahead check first reads its body's per-vertex table, built on
 first use and kept for the engine's lifetime: where the body only tests
@@ -72,7 +77,7 @@ from .compiler import (
     SET,
     SEARCH,
     SHIFT,
-    write_effects,
+    emit_tail,
     tests_hold,
 )
 from .expand import RbgValidationError, UnknownMacro, expand_macros
@@ -301,8 +306,11 @@ class RbgEngineBase(Engine):
         """Every semi-move from ``state``, in the walker's preorder.
 
         One depth-first loop over configurations (instruction, vertex,
-        effect id).  Each distinct effect sequence gets an interned id,
-        so configuration and lookahead keys are O(1) to build.  A step
+        effect id).  Each effect sequence a SET or ASSIGN builds gets an
+        interned id, so configuration and lookahead keys are O(1) to
+        build.  An EMIT interns nothing and adds no configuration: it
+        appends its per-vertex tail to the effects and keys the move by
+        that tuple, keeping the smaller control point on a repeat.  A step
         with one successor continues in the loop; further FORK branches
         and JUMPS exits are pushed in reverse, and a write pushes the
         entry that undoes it beneath its successor, so the board, the
@@ -317,7 +325,7 @@ class RbgEngineBase(Engine):
         # (parent id, effect) -> id of the sequence it extends; 0 is ()
         ids: dict = {}
         visited: set = set()
-        found: dict = {}  # (effect id, EMIT player) -> Move
+        found: dict = {}  # effect sequence, a switch's pass included -> Move
         # (sub entry, vertex, effect id) -> body found; within this call
         # the effects fix the tentative board and variables.
         lookahead: dict = {}
@@ -335,12 +343,35 @@ class RbgEngineBase(Engine):
                         effects.pop()
                 continue
             while True:
+                instr = instrs[idx]
+                op = instr[0]
+                if op == EMIT:
+                    # nothing follows an EMIT, so it records no
+                    # configuration: a repeat finds its move in ``found``
+                    # with the same control point
+                    player = instr[2]
+                    tail = instr[4].get(vertex)
+                    if tail is None:
+                        tail = instr[4][vertex] = emit_tail(
+                            instr[1], player, vertex
+                        )
+                    # a switch's pass is no effect the cap counts
+                    if len(effects) + len(tail) - (player is not None) > cap:
+                        raise RunawaySearch(
+                            "runaway effect sequence in rules pattern", idx, vertex
+                        )
+                    seq = tuple(effects) + tail if effects else tail
+                    control = (instr[3], vertex)
+                    move = found.get(seq)
+                    if move is None:
+                        found[seq] = Move(seq, player is None, control)
+                    elif control < move.control:
+                        move.control = control
+                    break
                 key = (idx, vertex, eid)
                 if key in visited:
                     break
                 visited.add(key)
-                instr = instrs[idx]
-                op = instr[0]
                 if op == FORK:
                     branches = instr[1]
                     if not branches:
@@ -395,28 +426,6 @@ class RbgEngineBase(Engine):
                         raise RunawaySearch(
                             "runaway effect sequence in rules pattern", idx, vertex
                         )
-                elif op == EMIT:
-                    written = instr[4].get(vertex)
-                    if written is None:
-                        written = instr[4][vertex] = write_effects(instr[1], vertex)
-                    if len(effects) + len(written) > cap:
-                        raise RunawaySearch(
-                            "runaway effect sequence in rules pattern", idx, vertex
-                        )
-                    for effect in written:
-                        eid = ids.setdefault((eid, effect), len(ids) + 1)
-                    control = (instr[3], vertex)
-                    move = found.get((eid, instr[2]))
-                    if move is None:
-                        if instr[2] is None:
-                            seq, replay = tuple(effects) + written, True
-                        else:
-                            seq = tuple(effects) + written + (("pass", instr[2]),)
-                            replay = False
-                        found[eid, instr[2]] = Move(seq, replay, control)
-                    elif control < move.control:
-                        move.control = control
-                    break
                 elif op == CHECK:
                     tests = instr[6].get(vertex)
                     if tests is None:

@@ -39,7 +39,9 @@ from test_rbg_engine import (
     micro_game,
     random_fold_shapes,
     random_micro_pattern,
+    recursive_semimoves,
     render,
+    walk_outcome,
 )
 
 MICRO_RAY = """
@@ -751,3 +753,26 @@ def test_tail_past_the_effect_cap_names_itself(monkeypatch):
         eng.semimoves(eng.initial_state())
     instr = eng.program.instrs[info.value.instr]
     assert instr[0] == EMIT and instr[1]  # an EMIT with a write chain
+
+
+@pytest.mark.parametrize("ending", ["-> q", "->> -> q"], ids=["switch", "keep"])
+def test_folded_emit_cap_counts_effects_not_the_pass(ending):
+    # three effects: [b], then the folded chain [w] [$ p=1]
+    game = micro_game([["e"] * 3], f"->p ( right [b] right [w] [$ p=1] {ending} )*")
+    assert write_emits(RbgCompiledEngine(game).program) == 1
+    for engine_cls in (RbgInterpreterEngine, RbgCompiledEngine):
+        for cap in (3, 2):
+            eng = engine_cls(game)
+            eng._effect_cap = cap
+            state = eng.initial_state()
+            got, moves = walk_outcome(engine_cls.semimoves, eng, state)
+            assert got == walk_outcome(recursive_semimoves, eng, state)[0]
+            if cap == 3:
+                assert [m.effects[:3] for m in moves] == [
+                    (("cell", 1, 2), ("cell", 2, 1), ("var", "p", 1))
+                ]
+                continue
+            assert got[0] == "runaway", engine_cls.__name__
+            if engine_cls is RbgCompiledEngine:
+                instr = eng.program.instrs[got[1]]
+                assert instr[0] == EMIT and instr[1]

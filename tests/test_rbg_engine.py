@@ -7,6 +7,7 @@ unroll bound, so the enumeration is exhaustive.
 """
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +34,9 @@ from ggs.rbg.engine import (
 )
 
 from ggs import library
+
+
+ENGINES = (RbgInterpreterEngine, RbgCompiledEngine)
 
 
 def micro_game(rows, rules, pieces="e, w, b"):
@@ -76,8 +80,76 @@ def test_duplicate_paths_merge():
     game = micro_game(
         [["e", "e"]], "->p ( (right [w] + right [w]) -> q )*"
     )
-    eng = RbgInterpreterEngine(game)
-    assert len(eng.semimoves(eng.initial_state())) == 1
+    for engine_cls in ENGINES:
+        eng = engine_cls(game)
+        assert len(eng.semimoves(eng.initial_state())) == 1, engine_cls.__name__
+
+
+# [w] is written by a chain the compiler folds into its switch and by a
+# SET whose next node also tests {b}, so it stays a SET and the move comes
+# from a plain EMIT behind another switch; [b] reaches that plain EMIT too.
+# Each order reaches one of the two [w] control points first.  ({e} keeps
+# ``right (`` from reading as a macro call.)
+MERGE_ACROSS_FOLD = (
+    "->p ( right {e} ( [w] + [w] -> q + [b] ) ( -> q {e} + {b} -> q ) )*",
+    "->p ( right {e} ( [w] -> q + [w] + [b] ) ( -> q {e} + {b} -> q ) )*",
+)
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+@pytest.mark.parametrize("rules", MERGE_ACROSS_FOLD, ids=["set-first", "fold-first"])
+def test_duplicate_paths_merge_across_the_fold(engine_cls, rules):
+    game = micro_game([["e", "e"]], rules)
+    program = RbgCompiledEngine(game).program
+    listing = compiler.dump_ir(program)  # what ``ggs dump-ir`` prints
+    folded = re.search(r"emit player2 @node(\d+) <- set p1$", listing, re.M)
+    after_set = re.search(r"^ *\d+: set p1 -> (\d+)$", listing, re.M)
+    assert folded and after_set
+    _, exits = compiler.region_exits(
+        program, program.instrs[int(after_set[1])][2]
+    )
+    plain = [
+        program.instrs[t][3] for t in exits
+        if program.instrs[t][0] == EMIT and not program.instrs[t][1]
+    ]
+    assert len(plain) == 1 and plain[0] != int(folded[1])
+    eng = engine_cls(game)
+    state = eng.initial_state()
+    moves = eng.semimoves(state)
+    assert [(m.effects, m.replay, m.control) for m in moves] == [
+        (m.effects, m.replay, m.control) for m in recursive_semimoves(eng, state)
+    ]
+    w_move, b_move = moves
+    assert w_move.effects == (("cell", 1, 1), ("pass", 2))
+    assert b_move.effects == (("cell", 1, 2), ("pass", 2))
+    assert w_move.control == (min(int(folded[1]), plain[0]), 1)
+
+
+@pytest.mark.parametrize("engine_cls", ENGINES)
+def test_keep_and_switch_with_equal_writes_stay_two_moves(engine_cls):
+    game = micro_game([["e", "e"]], "->p ( right {e} ( [w] -> q + [w] ->> -> q ) )*")
+    eng = engine_cls(game)
+    moves = eng.semimoves(eng.initial_state())
+    assert [(m.effects, m.replay) for m in moves] == [
+        ((("cell", 1, 1), ("pass", 2)), False),
+        ((("cell", 1, 1),), True),
+    ]
+
+
+def test_compiled_move_with_no_earlier_write_is_its_emit_tail():
+    # a Hex move is one folded EMIT, so red's moves at plies 0 and 2 on
+    # one vertex are both that EMIT's tail there, not copies of it
+    eng = library.make_engine("hex", "compiled")
+    plies = [eng.initial_state()]
+    for _ in range(2):
+        state = plies[-1]
+        plies.append(eng.apply(state, eng.semimoves(state)[0]))
+    red_first = {m.destination(): m for m in eng.semimoves(plies[0])}
+    red_again = {m.destination(): m for m in eng.semimoves(plies[2])}
+    shared = red_first.keys() & red_again.keys()
+    assert shared
+    for vertex in shared:
+        assert red_first[vertex].effects is red_again[vertex].effects
 
 
 def test_rules_must_open_with_switch():
@@ -357,7 +429,6 @@ def test_long_pure_check_needs_no_deep_recursion():
         assert move.effects == (("cell", 0, 2), ("pass", 2))
 
 
-ENGINES = (RbgInterpreterEngine, RbgCompiledEngine)
 
 
 @pytest.mark.parametrize("engine_cls", ENGINES)
