@@ -13,15 +13,8 @@ import sys
 from pathlib import Path
 
 from . import bench, library
-from .ludeme.compile import compile_ludemic
-from .ludeme.engine import LudemicEngine
 from .rbg.compiler import dump_ir
-from .rbg.engine import (
-    RbgCompiledEngine,
-    RbgGame,
-    RbgInterpreterEngine,
-    RunawaySearch,
-)
+from .rbg.engine import RunawaySearch
 
 
 def _engine_mode(args) -> str:
@@ -63,14 +56,12 @@ def _usage_problem(args) -> str | None:
 def cmd_validate(args) -> int:
     path = Path(args.file)
     dialect = "ludemic" if path.suffix == ".lud" else "rbg"
+    # resolved, so that a bare name such as ``game`` is read as a file
+    source = str(path.resolve())
+    modes = ("ludemic",) if dialect == "ludemic" else ("compiled", "interpreter")
     try:
-        text = path.read_text()
-        if dialect == "ludemic":
-            LudemicEngine(compile_ludemic(text)).initial_state()
-        else:
-            game = RbgGame.from_text(text)
-            RbgCompiledEngine(game)
-            RbgInterpreterEngine(game).initial_state()
+        for mode in modes:
+            library.make_engine(source, mode).initial_state()
     except Exception as exc:  # surface any front-end diagnostic
         return _fail(f"{path}: {type(exc).__name__}: {exc}")
     print(f"{path}: ok ({dialect})")

@@ -15,17 +15,15 @@ then the next mover, packed into one integer of fixed width (see
 ``cell:<coord>=<sym>`` token in string order, so when no piece symbol is
 a proper prefix of another the keys order moves exactly as their delta
 texts do and ``sort_moves`` needs no text.  Otherwise moves are ordered
-by delta text (``Engine.sort_moves``).
+by delta text (``Engine.delta_texts``), and keep their integer keys.
 
 A move whose effects and key depend only on its origin and destination
 is built once and shared by every state that lists it: ``place``,
 ``drop`` and ``shoot`` hold one move per cell, and a piece holds, per
 origin, one move per cell of each ray, built the first time that origin
-moves.  Shared moves are never written.  Two kinds are built fresh in
-every state: a move whose write is a no-op (it writes the piece already
-on the cell, so its key is the unchanged key), and every move of a game
-whose ranks are not in text order, since ``Engine.sort_moves`` writes a
-text key on each move it sorts.  Custodial flips are built fresh, since
+moves.  Shared moves are never written.  A move whose write is a no-op
+(it writes the piece already on the cell, so its key is the unchanged
+key) is built fresh in every state, and so are custodial flips, since
 their writes depend on the state.
 
 Each generator declares at build an ``Order`` its tables prove for every
@@ -205,13 +203,6 @@ class _KeyPacker:
         return self.sentinel * b + mover, tuple(b ** (v - k) for k in range(v + 1))
 
 
-def _fresh(gen):
-    """gen, listing copies of its moves instead of the shared ones."""
-    return lambda state: [
-        Move(m.effects, m.replay, m.control, m.key) for m in gen(state)
-    ]
-
-
 class LudemicEngine(Engine):
     mode = "ludemic"
 
@@ -231,9 +222,6 @@ class LudemicEngine(Engine):
             for p in players
         }
         plays = [self._compile_play(game.play_rule, p) for p in players]
-        if not self._keys.ordered:
-            # Engine.sort_moves writes a text key on every move it sorts
-            plays = [(_fresh(gen), order) for gen, order in plays]
         self._plays = (None,) + tuple(gen for gen, _ in plays)
         self._order = (None,) + tuple(order for _, order in plays)
         self._ends = (None,) + tuple(
@@ -279,7 +267,8 @@ class LudemicEngine(Engine):
         text when a move carries none or the ranks are not in text order.
         ``order`` is what the generator proved at build about its lists;
         it is trusted only when keys are ordered.  A ``DISTINCT`` list is
-        sorted in place."""
+        sorted in place.  No key is written: an integer key still tells
+        unequal deltas apart when the ranks are not in text order."""
         if self._keys.ordered:
             if order is CANONICAL:
                 return moves
@@ -289,7 +278,7 @@ class LudemicEngine(Engine):
             keys = [m.key for m in moves]
             if None not in keys:
                 return self.order_by_keys(moves, keys)
-        return Engine.sort_moves(self, state, moves)
+        return self.order_by_keys(moves, self.delta_texts(state, moves))
 
     # -- compilation: play rules ----------------------------------------
 

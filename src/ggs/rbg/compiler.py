@@ -14,15 +14,17 @@ mean the same in both programs.
 
 The interpreter lowers the raw Thompson automaton, so it follows every
 epsilon edge at run time.  The compiled executor lowers the automaton
-after epsilon elimination, and a node whose instruction would be a FORK
-or a SHIFT becomes a JUMPS where the program enters it.  The JUMPS
-stands for the node's region, the FORK and SHIFT steps reachable from
-it through FORK and SHIFT alone, which go into ``region`` under negative
-ids; its table gives the exits the region reaches from each vertex.
-One more fold is made only there: a SET/ASSIGN edge that starts a chain
-of such edges, one per node, ending in a switch or keep becomes an EMIT
-that carries the chain's writes, so it emits the move the chain would
-build without stepping through it.
+after epsilon elimination in the same way, and adds a JUMPS where
+control enters a node whose instruction is a FORK or a SHIFT: from the
+entry map, after an action other than a shift, and at a check body's
+start.  The JUMPS stands for the node's region, the FORK and SHIFT
+instructions reachable from it through FORK branches and SHIFT nexts
+alone; its table gives the exits the region reaches from each vertex,
+so the walker never runs a FORK or SHIFT of that program.  One more
+fold is made only there: a SET/ASSIGN edge that starts a chain of such
+edges, one per node, ending in a switch or keep becomes an EMIT that
+carries the chain's writes, so it emits the move the chain would build
+without stepping through it.
 
 Every CHECK carries a per-vertex table, shared by the checks on one
 body, of what the body asks at each vertex: a constant, an OR of ANDs of
@@ -58,8 +60,9 @@ CHECK = 8     # (CHECK, positive, sub_entry, pure, next, sub_nfa, tests)
 #               tests: vertex -> what the body asks there (``check_tests``),
 #               filled on first use and shared by the body's checks
 ACCEPT = 9    # (ACCEPT,)
-JUMPS = 10    # (JUMPS, table, region_start)  table: vertex -> (exit
-#               indices, exit vertices), filled on first use
+JUMPS = 10    # (JUMPS, table, start)  start: the FORK or SHIFT it
+#               enters; table: vertex -> (exit indices, exit vertices),
+#               filled on first use
 # Retired with the guarded-shift and ray-scan passes (jump tables made
 # them slower than no pass); no lowering emits them, but external
 # listings such as perfbench's still name them.
@@ -93,17 +96,15 @@ class LoweredProgram:
     # table its CHECKs share)
     bodies: dict
     shift_table: list  # shift_table[direction][vertex] -> vertex or OFF_BOARD
-    # The FORK and SHIFT steps the JUMPS instructions stand for, under
-    # negative ids; their targets are region ids or instruction indices.
-    region: dict = field(default_factory=dict)
     # one copy of each distinct exit-index or exit-vertex tuple
     interned: dict = field(default_factory=dict, repr=False)
 
     def jump_exits(self, start: int, vertex: int) -> tuple:
         """(exit indices, exit vertices) that FORK and SHIFT steps alone
-        reach from region step ``start`` at ``vertex``, in the order the
-        walker's depth-first preorder first reaches them."""
-        region, shift = self.region, self.shift_table
+        reach from instruction ``start`` at ``vertex``, in the order the
+        walker's depth-first preorder first reaches them; any other
+        instruction is an exit."""
+        instrs, shift = self.instrs, self.shift_table
         idxs: list = []
         verts: list = []
         seen = set()
@@ -114,17 +115,16 @@ class LoweredProgram:
                 continue
             seen.add(key)
             i, v = key
-            if i >= 0:
+            instr = instrs[i]
+            if instr[0] == FORK:
+                stack.extend((t, v) for t in reversed(instr[1]))
+            elif instr[0] == SHIFT:
+                nv = shift[instr[1]][v]
+                if nv >= 0:
+                    stack.append((instr[2], nv))
+            else:
                 idxs.append(i)
                 verts.append(v)
-                continue
-            node = region[i]
-            if node[0] == FORK:
-                stack.extend((t, v) for t in reversed(node[1]))
-            else:
-                nv = shift[node[1]][v]
-                if nv >= 0:
-                    stack.append((node[2], nv))
         idxs, verts = tuple(idxs), tuple(verts)
         interned = self.interned
         return interned.setdefault(idxs, idxs), interned.setdefault(verts, verts)
@@ -218,29 +218,28 @@ def emit_tail(writes: tuple, player, vertex: int) -> tuple:
 
 
 def region_exits(program: LoweredProgram, start: int) -> tuple[int, tuple]:
-    """(size, exits) of the region a JUMPS at region step ``start`` stands
-    for: how many FORK/SHIFT steps it holds, and every instruction it can
-    exit to, in depth-first preorder."""
+    """(size, exits) of the region a JUMPS into instruction ``start``
+    stands for: how many FORK/SHIFT steps it holds, and every instruction
+    other than those it can exit to, in depth-first preorder."""
     size, exits, stack, seen = 0, [], [start], set()
     while stack:
         i = stack.pop()
         if i in seen:
             continue
         seen.add(i)
-        if i >= 0:
+        instr = program.instrs[i]
+        if instr[0] not in (FORK, SHIFT):
             exits.append(i)
             continue
-        node = program.region[i]
         size += 1
-        stack.extend(reversed(node[1] if node[0] == FORK else node[2:]))
+        stack.extend(reversed(instr[1] if instr[0] == FORK else instr[2:]))
     return size, tuple(exits)
 
 
 class _Lowerer:
     """Lowers what the program reaches from its roots, each node once,
     numbered in the order the lowering reaches it.  With ``jumps`` a
-    node whose instruction would be a FORK or a SHIFT becomes a JUMPS,
-    and its region's FORK and SHIFT steps go into ``region``, and a write
+    JUMPS is put where control enters a FORK or SHIFT node, and a write
     chain ending in a switch or keep becomes one EMIT."""
 
     def __init__(self, jumps: bool):
@@ -248,7 +247,6 @@ class _Lowerer:
         self.instrs: list = []
         # id(sub Nfa) -> (entry index, the tests table its CHECKs share)
         self.bodies: dict[int, tuple] = {}
-        self.region: dict = {}  # region id (< 0) -> FORK or SHIFT step
 
     def add(self, instr) -> int:
         self.instrs.append(instr)
@@ -258,10 +256,10 @@ class _Lowerer:
         """Lower the nodes reachable from ``roots``; returns root -> index."""
         edges = nfa.edges
         accepting = nfa.accepting if sub else ()
-        instrs, region, jumps = self.instrs, self.region, self.jumps
+        instrs, jumps = self.instrs, self.jumps
         index = [-1] * len(edges)  # node -> its instruction
-        steps = [0] * len(edges)  # node -> its region step
-        todo: list = []  # n: node n's instruction; ~n: its region step
+        entered: dict = {}  # node -> the JUMPS that enters it
+        todo: list = []
 
         def at(n: int) -> int:
             i = index[n]
@@ -271,72 +269,50 @@ class _Lowerer:
                 todo.append(n)
             return i
 
-        def moves_only(n: int) -> bool:
-            """Whether node n's instruction would be a FORK or a SHIFT."""
+        def enter(n: int) -> int:
+            """Where control enters node n: with ``jumps``, when n's
+            instruction is a FORK or a SHIFT, the JUMPS that stands for
+            them; otherwise n's instruction."""
             out = edges[n]
-            if n in accepting:
-                return bool(out)
-            return len(out) != 1 or out[0][0][0] in ("shift", "eps")
-
-        def step(n: int) -> int:
-            """The region step of node n, or n's instruction when n is
-            not a FORK or SHIFT (an exit of the region)."""
-            r = steps[n]
-            if not r:
-                if not moves_only(n):
-                    return at(n)
-                r = steps[n] = ~len(region)
-                region[r] = None
-                todo.append(~n)
-            return r
-
-        def fork(n: int, follow) -> tuple:
-            """Node n as a FORK: its ACCEPT, then per edge ``follow`` of
-            the target of an epsilon edge, a region step for a shift
-            inside a region, else a new instruction for the edge."""
-            branches = [self.add((ACCEPT,))] if n in accepting else []
-            for label, target in edges[n]:
-                if label[0] == "eps":
-                    branches.append(follow(target))
-                elif follow is step and label[0] == "shift":
-                    shifted = (SHIFT, label[1], step(target))
-                    branches.append(~len(region))
-                    region[branches[-1]] = shifted
-                else:
-                    branches.append(self.add(edge(label, target)))
-            return (FORK, tuple(branches))
+            moves = bool(out) if n in accepting else (
+                len(out) != 1 or out[0][0][0] in ("shift", "eps"))
+            if not (jumps and moves):
+                return at(n)
+            j = entered.get(n)
+            if j is None:
+                j = entered[n] = self.add((JUMPS, {}, at(n)))
+            return j
 
         def edge(label, target: int) -> tuple:
             """The instruction for an action edge: with ``jumps``, a write
             chain in the main automaton that ends in a switch or keep is
             one EMIT."""
+            if label[0] == "shift":
+                return (SHIFT, label[1], at(target))
             return (
                 jumps and not sub and self._write_chain(edges, label, target)
-                or self._edge(label, target, at)
+                or self._edge(label, target, enter)
             )
 
-        entry = {n: at(n) for n in roots}
+        entry = {n: enter(n) for n in roots}
         while todo:
             n = todo.pop()
-            if n < 0:
-                n = ~n
-                out = edges[n]
-                if len(out) == 1 and out[0][0][0] == "shift" and (
-                        n not in accepting):
-                    region[steps[n]] = (SHIFT, out[0][0][1], step(out[0][1]))
-                else:
-                    region[steps[n]] = fork(n, step)
-                continue
             out = edges[n]
             accepts = n in accepting
-            if jumps and moves_only(n):
-                instr = (JUMPS, {}, step(n))
-            elif len(out) == 1 and not accepts and out[0][0][0] != "eps":
+            if len(out) == 1 and not accepts and out[0][0][0] != "eps":
                 instr = edge(*out[0])
             elif accepts and not out:
                 instr = (ACCEPT,)
             else:
-                instr = fork(n, at)
+                # a FORK: its ACCEPT, then the target's instruction for
+                # an epsilon edge and a new instruction for an action edge
+                branches = [self.add((ACCEPT,))] if accepts else []
+                for label, target in out:
+                    if label[0] == "eps":
+                        branches.append(at(target))
+                    else:
+                        branches.append(self.add(edge(label, target)))
+                instr = (FORK, tuple(branches))
             instrs[index[n]] = instr
         return entry
 
@@ -363,7 +339,9 @@ class _Lowerer:
             seen.add(target)
             (label, target), = edges[target]
 
-    def _edge(self, label, target: int, at) -> tuple:
+    def _edge(self, label, target: int, enter) -> tuple:
+        """The instruction for an action edge other than a shift; control
+        goes on through ``enter(target)``."""
         kind = label[0]
         if kind == "switch":
             return (EMIT, (), label[1], target, {})
@@ -376,10 +354,8 @@ class _Lowerer:
                 entry = self.lower_nfa(sub, True, (sub.start,))[sub.start]
                 body = self.bodies[id(sub)] = (entry, {})
             entry, tests = body
-            return (CHECK, label[1], entry, label[3], at(target), sub, tests)
-        nxt = at(target)
-        if kind == "shift":
-            return (SHIFT, label[1], nxt)
+            return (CHECK, label[1], entry, label[3], enter(target), sub, tests)
+        nxt = enter(target)
         if kind == "on":
             return (ON, label[1], nxt)
         if kind == "set":
@@ -406,9 +382,7 @@ def lower(nfa: Nfa, board, optimize: bool) -> LoweredProgram:
     })
     low = _Lowerer(optimize)
     entry = low.lower_nfa(nfa, False, controls)
-    return LoweredProgram(
-        low.instrs, entry, low.bodies, board.neighbors, low.region
-    )
+    return LoweredProgram(low.instrs, entry, low.bodies, board.neighbors)
 
 
 def dump_ir(program: LoweredProgram) -> str:

@@ -52,10 +52,17 @@ def _subst_atom(name: str, env: dict) -> str:
 
 
 def _expand(
-    pat: ast.Pattern, macros: dict, env: dict, depth: int, built: list
+    pat: ast.Pattern,
+    macros: dict,
+    directions: tuple,
+    env: dict,
+    depth: int,
+    built: list,
 ) -> ast.Pattern:
-    """``pat`` with macros substituted; ``depth`` counts every structural
-    level and macro call above it, so runaway recursion and over-deep
+    """``pat`` with macros substituted; a call of a board direction that
+    is not a macro, with one argument, is that direction followed by the
+    argument (``right ( [w] )`` is ``right [w]``).  ``depth`` counts every
+    structural level and macro call above it, so runaway recursion and over-deep
     nesting both stop at ``ast.MAX_NESTING``.  ``built[0]`` counts the
     calls of the whole expansion, one per node it builds or passes
     through, and stops it past ``MAX_EXPANDED_NODES``."""
@@ -71,38 +78,48 @@ def _expand(
     if isinstance(pat, ast.Name):
         if pat.name in env:
             # an expanded argument, walked again where it lands
-            return _expand(env[pat.name], macros, {}, depth, built)
+            return _expand(env[pat.name], macros, directions, {}, depth, built)
         if pat.name in macros:
             params, body = macros[pat.name]
             if params:
                 raise ArityMismatch(f"macro {pat.name} expects {len(params)} args")
-            return _expand(body, macros, {}, depth + 1, built)
+            return _expand(body, macros, directions, {}, depth + 1, built)
         return pat
     if isinstance(pat, ast.Call):
         if pat.name not in macros:
             if pat.name in env:
                 raise RbgValidationError(f"macro parameter {pat.name!r} called")
-            raise UnknownMacro(pat.name)
+            if pat.name not in directions or len(pat.args) != 1:
+                raise UnknownMacro(pat.name)
+            return ast.Concat((
+                ast.Name(pat.name),
+                _expand(pat.args[0], macros, directions, env, depth + 1, built),
+            ))
         params, body = macros[pat.name]
         if len(params) != len(pat.args):
             raise ArityMismatch(
                 f"macro {pat.name} expects {len(params)} args, got {len(pat.args)}"
             )
-        args = tuple(_expand(a, macros, env, depth + 1, built) for a in pat.args)
-        return _expand(body, macros, dict(zip(params, args)), depth + 1, built)
+        args = tuple(
+            _expand(a, macros, directions, env, depth + 1, built) for a in pat.args
+        )
+        env = dict(zip(params, args))
+        return _expand(body, macros, directions, env, depth + 1, built)
     depth += 1
     if isinstance(pat, ast.Concat):
-        return ast.Concat(
-            tuple(_expand(p, macros, env, depth, built) for p in pat.parts)
-        )
+        return ast.Concat(tuple(
+            _expand(p, macros, directions, env, depth, built) for p in pat.parts
+        ))
     if isinstance(pat, ast.Alt):
-        return ast.Alt(
-            tuple(_expand(p, macros, env, depth, built) for p in pat.parts)
-        )
+        return ast.Alt(tuple(
+            _expand(p, macros, directions, env, depth, built) for p in pat.parts
+        ))
     if isinstance(pat, ast.Star):
-        return ast.Star(_expand(pat.child, macros, env, depth, built))
+        return ast.Star(_expand(pat.child, macros, directions, env, depth, built))
     if isinstance(pat, ast.Check):
-        return ast.Check(pat.positive, _expand(pat.child, macros, env, depth, built))
+        return ast.Check(
+            pat.positive, _expand(pat.child, macros, directions, env, depth, built)
+        )
     if isinstance(pat, ast.On):
         return ast.On(tuple(_subst_atom(n, env) for n in pat.names))
     if isinstance(pat, ast.SetHere):
@@ -118,5 +135,7 @@ def _expand(
 
 def expand_macros(game: ast.RbgGameDef) -> ast.RbgGameDef:
     """Substitute all macro calls in the rules to a fixpoint."""
-    rules = _expand(game.rules, game.macros, {}, 0, [0])
+    rules = _expand(
+        game.rules, game.macros, game.board_directions, {}, 0, [0]
+    )
     return replace(game, rules=rules, macros={})

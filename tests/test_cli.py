@@ -1,8 +1,10 @@
 """End-to-end command-line behavior via subprocess."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,18 @@ from ggs import library
 from test_ludeme_compile import BAD_DESCRIPTIONS
 
 
-def run_cli(*args):
+# the directory that holds the ggs package, for runs from another directory
+SRC = str(Path(library.__file__).resolve().parents[2])
+
+
+def run_cli(*args, cwd=None):
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
     return subprocess.run(
         [sys.executable, "-m", "ggs.cli", *args],
         capture_output=True,
         text=True,
+        cwd=cwd,
+        env=dict(os.environ, PYTHONPATH=path),
     )
 
 
@@ -54,6 +63,19 @@ def test_validate_library_files():
     assert proc.returncode == 1
     assert proc.stdout == ""
     assert proc.stderr
+
+
+def test_validate_reads_a_bare_name_as_a_file(tmp_path):
+    # neither name has a separator or an extension; "tictactoe" also names
+    # a library game, whose valid description must not be read instead
+    (tmp_path / "game").write_text(library.load_description("hex", "rbg"))
+    proc = run_cli("validate", "game", cwd=tmp_path)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "game: ok (rbg)\n", "")
+    (tmp_path / "tictactoe").write_text("#players = p(1)\n")
+    proc = run_cli("validate", "tictactoe", cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("tictactoe: ")
 
 
 def test_validate_reports_diagnostics(tmp_path):

@@ -673,15 +673,6 @@ def test_no_walk_changes_a_shared_move():
         assert snapshot(shared) == before, name
 
 
-def test_unordered_game_lists_no_shared_move():
-    engine = LudemicEngine(compile_ludemic(PREFIX_GAME))
-    assert not engine._keys.ordered
-    shared = {id(m) for m in shared_moves(engine)}
-    assert shared
-    for moves in walk_sorting_and_deduplicating(engine, 0, 3):
-        assert moves and not shared & {id(m) for m in moves}
-
-
 DROP_GAME = """
 (game "Drop"
  (mode 2)

@@ -14,11 +14,14 @@ from ggs.rbg import ast, compiler
 from ggs.rbg.compiler import (
     _NAMES,
     ACCEPT,
+    ASSIGN,
     CHECK,
     EMIT,
     FORK,
     JUMPS,
+    ON,
     SEARCH,
+    SET,
     SHIFT,
     LoweredProgram,
     _Lowerer,
@@ -79,23 +82,52 @@ def test_dump_ir_is_byte_stable():
     assert first.splitlines()[0].lstrip().startswith("0:")
 
 
-# sha256 of ``dump_ir`` followed by one "<nfa node> <entry index>" line per
-# entry-map item, sorted by node: the whole program as numbered.
+def lowered_digest(program) -> str:
+    """sha256 of ``dump_ir`` followed by one "<nfa node> <entry index>"
+    line per entry-map item, sorted by node: the whole program as
+    numbered."""
+    text = dump_ir(program) + "".join(
+        f"{node} {idx}\n" for node, idx in sorted(program.entry.items())
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# ``lowered_digest`` of each compiled program: region steps are its own
+# FORK and SHIFT instructions, behind a JUMPS where control enters them.
 LOWERED_GOLDEN = {
     "Amazons":
-        "36b237cdac4e6ae97b3c62521d44a98e1be1a460074f647b20b4274758830220",
+        "55c87a9609785de01e868953ed15c4adc8155930d48af48fa7857107869764cd",
     "Breakthrough":
-        "fa86b55ed5a5b05e30b3071c235fa494e054ad2c1ce969824adcfd7aae92c82d",
+        "9ff48b9db1a3e5824e0ce3cfa1c5348ab006c7a51e64d992e42bf3a8d5646ff5",
     "Connect-4":
-        "02f11537c9f632e9cb16bfd969223ad5c14e87ecde2d53e5380886bde22865e4",
+        "063b18f3614f9d31772b73b79a05f4b5824cf9bae7fd25b1484ce0d77493e2f1",
     "Gomoku":
-        "039576bcb756c457ef30728f25a8fe88d34ea15324843cb657a7200e55af2325",
+        "a3d7f639858327b5e7390f18b5e1f1b67bce9c0f9272f9cb97a6cc336d1b5b26",
     "Hex":
-        "b7b541b35a234db36ae166215189581be4fa8ddd3a585078167d02592ddd8180",
+        "81ff8d960f9828fce68e98e4e7dd8e6e3c26372544dfc1131d48047ecc78b3a0",
     "Reversi":
-        "2148f23163ba2afa58bb88c6238c86a49fca814ea93d75e2ff6d0206328538b9",
+        "4268b7eacabff648cb8396ea53293ef3778380106109ef8e81487f25741f9a4d",
     "Tic-Tac-Toe":
-        "d9682de0fe0c6da7f2eb4b36914d4846bce653c20077181495f6bdc3c34fae3e",
+        "f3cdfa91f8aedd175dab6970a87b4e3129bba7c0b4d7e6d0d98345ce57c3c492",
+}
+
+
+# ``lowered_digest`` of each interpreter program.
+INTERP_LOWERED_GOLDEN = {
+    "Amazons":
+        "94030e5beeed6f3d271f774e96e926ce122faab81b905adee160ba2fa5364f03",
+    "Breakthrough":
+        "be9ec38af484f9cb138f63b50540aadba36af38518b9f81eb54abe531f3fba65",
+    "Connect-4":
+        "4fe0d925db84ab86fac284bc3520a4ecb1e380874a1254ac67c3bf783a718536",
+    "Gomoku":
+        "b3dffe1723d1f7c194f18710ebe30b52daf233340bbebe20cf141679506ca5f9",
+    "Hex":
+        "7df9f0e919c95c61c5465dfe1a43f33a1a18876eb09c69e98ffca508a3362bc9",
+    "Reversi":
+        "c3c1b01e34da8125132ed8ce6d1c0d60b4e428639101c8daa03f9856de8234ba",
+    "Tic-Tac-Toe":
+        "011a0e85fb4c5f59f6fd39034c9e0920c4bb77c2826f8e5cb61f5aba781f2ca4",
 }
 
 
@@ -119,14 +151,20 @@ SHAPE_GOLDEN = {
 }
 
 
+def is_region_step(program, i) -> bool:
+    """Whether instruction ``i`` is a step of a JUMPS region: a FORK or a
+    SHIFT; any other instruction is an exit."""
+    return program.instrs[i][0] in (FORK, SHIFT)
+
+
 def region_shape(program, start) -> tuple:
-    """The FORK/SHIFT region a JUMPS replaced, numbered in preorder from
+    """The FORK/SHIFT region a JUMPS stands for, numbered in preorder from
     its start: one (op, fields) per region instruction, exits as "x"."""
     local: dict = {}
     order: list = []
 
     def ref(i):
-        if i not in program.region:
+        if not is_region_step(program, i):
             return "x"
         if i not in local:
             local[i] = len(order)
@@ -136,7 +174,7 @@ def region_shape(program, start) -> tuple:
     ref(start)
     shape = []
     for i in order:  # grows while it is walked
-        node = program.region[i]
+        node = program.instrs[i]
         if node[0] == FORK:
             shape.append(("fork", tuple(ref(t) for t in node[1])))
         else:
@@ -217,10 +255,13 @@ def test_both_executors_share_one_walker():
 @pytest.mark.parametrize("game", sorted(LOWERED_GOLDEN))
 def test_lowered_program_is_pinned(game):
     program = library.make_engine(game, "compiled").program
-    text = dump_ir(program) + "".join(
-        f"{node} {idx}\n" for node, idx in sorted(program.entry.items())
-    )
-    assert hashlib.sha256(text.encode()).hexdigest() == LOWERED_GOLDEN[game]
+    assert lowered_digest(program) == LOWERED_GOLDEN[game]
+
+
+@pytest.mark.parametrize("game", sorted(INTERP_LOWERED_GOLDEN))
+def test_interpreter_lowered_program_is_pinned(game):
+    program = library.make_engine(game, "interpreter").program
+    assert lowered_digest(program) == INTERP_LOWERED_GOLDEN[game]
 
 
 def test_rayscan_matches_interpreter_prefix_stops():
@@ -343,38 +384,37 @@ def pre_pass_program(game) -> LoweredProgram:
     return lower(eliminate_epsilon(game.nfa), game.board, optimize=False)
 
 
-def region_walk(region, shift, i, vertex, seen, out):
+def region_walk(program, i, vertex, seen, out):
     """Append to ``out`` the (exit, vertex) pairs the FORK and SHIFT
-    steps of ``region`` alone reach from ``i``, in depth-first preorder."""
+    instructions of ``program`` alone reach from ``i``, in depth-first
+    preorder."""
     if (i, vertex) in seen:
         return
     seen.add((i, vertex))
-    node = region.get(i)
-    if node is None:
+    node = program.instrs[i]
+    if not is_region_step(program, i):
         out.append((i, vertex))
     elif node[0] == FORK:
         for t in node[1]:
-            region_walk(region, shift, t, vertex, seen, out)
+            region_walk(program, t, vertex, seen, out)
     else:
-        nv = shift[node[1]][vertex]
+        nv = program.shift_table[node[1]][vertex]
         if nv >= 0:
-            region_walk(region, shift, node[2], nv, seen, out)
+            region_walk(program, node[2], nv, seen, out)
 
 
 def assert_tables_match_regions(game, program):
     """Every JUMPS table, expanded at every vertex (and as far as the
     walker filled it), lists the exits of a recursive walk of its region,
     and every exit is an instruction the program runs."""
-    instrs, region = program.instrs, program.region
+    instrs = program.instrs
     for instr in instrs:
         if instr[0] != JUMPS:
             continue
-        assert region[instr[2]][0] in (FORK, SHIFT)
+        assert is_region_step(program, instr[2])
         for vertex in range(game.board.vertex_count):
             expected: list = []
-            region_walk(
-                region, program.shift_table, instr[2], vertex, set(), expected
-            )
+            region_walk(program, instr[2], vertex, set(), expected)
             for t, _ in expected:
                 assert 0 <= t < len(instrs)
                 assert instrs[t][0] not in (FORK, SHIFT, JUMPS)
@@ -541,13 +581,40 @@ def test_library_jump_tables_match_regions(name):
     assert_tables_match_regions(game, assert_moves_match_pre_pass(game, 0, 4))
 
 
+def successors(instr) -> tuple:
+    """The instruction indices control can go to from ``instr``, a JUMPS
+    followed to its start."""
+    op = instr[0]
+    if op == FORK:
+        return instr[1]
+    if op == JUMPS:
+        return (instr[2],)
+    if op == CHECK:
+        return (instr[2], instr[4])
+    if op in (SHIFT, ON, SET, ASSIGN):
+        return (instr[-1],)
+    return ()
+
+
 def test_compiled_program_holds_only_live_instructions():
+    # every instruction is reached from the entry map when a JUMPS is
+    # followed to its start, and a FORK or SHIFT only from a JUMPS, a FORK
+    # branch or a SHIFT's next, so the walker never runs one
     for entry in library.list_games():
         program = library.make_engine(entry.name, "compiled").program
-        ops = Counter(instr[0] for instr in program.instrs)
-        assert ops[FORK] == ops[SHIFT] == 0
-        _, reachable = program_shape(program)
-        assert reachable == len(program.instrs), entry.name
+        instrs = program.instrs
+        seen = set(program.entry.values())
+        stack = list(seen)
+        while stack:
+            instr = instrs[stack.pop()]
+            for t in successors(instr):
+                if instrs[t][0] in (FORK, SHIFT):
+                    assert instr[0] in (JUMPS, FORK, SHIFT), entry.name
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        assert len(seen) == len(instrs), entry.name
+        assert all(instrs[i][0] not in (FORK, SHIFT) for i in program.entry.values())
 
 
 # -- write-emit tails and cell-test-only checks --------------------------

@@ -1,5 +1,6 @@
 """Macro expansion, and the name checks made as the rules are compiled."""
 
+import random
 import time
 
 import pytest
@@ -14,7 +15,7 @@ from ggs.rbg.expand import (
     UnknownMacro,
     expand_macros,
 )
-from ggs.rbg.engine import RbgGame
+from ggs.rbg.engine import RbgCompiledEngine, RbgGame, RbgInterpreterEngine
 from ggs.rbg.parser import parse_rbg
 
 
@@ -128,6 +129,38 @@ def test_validate_unknown_direction():
         validate_rules("->white sideways -> black")
 
 
+DIRECTION_BEFORE_GROUP = (
+    "->white ( ((up)* + (down)*)((left)* + (right)*) {e} STEP"
+    " ->black ((up)* + (down)*)((left)* + (right)*) {e} [b] ->white )*"
+)
+
+
+def test_direction_before_a_group_is_a_shift():
+    # a declared direction called with one argument is no macro call: it
+    # shifts, then matches the group
+    variants = ("right ( [w] )", "right([w])", "right [w]")
+    games = [
+        validate_rules(DIRECTION_BEFORE_GROUP.replace("STEP", step),
+                       board="[e, e, e] [e, e, e]")
+        for step in variants
+    ]
+    for engine_cls in (RbgInterpreterEngine, RbgCompiledEngine):
+        engines = [engine_cls(game) for game in games]
+        states = [eng.initial_state() for eng in engines]
+        rng = random.Random(0)
+        for _ in range(6):
+            lists = [
+                [(m.effects, m.replay, m.control) for m in eng.semimoves(state)]
+                for eng, state in zip(engines, states)
+            ]
+            assert lists[0] and lists[0] == lists[1] == lists[2], engine_cls
+            k = rng.randrange(len(lists[0]))
+            states = [
+                eng.apply(state, eng.semimoves(state)[k])
+                for eng, state in zip(engines, states)
+            ]
+
+
 def test_validate_bound_exceeded():
     with pytest.raises(RbgValidationError):
         validate_rules("->white [$ white=101] -> black")
@@ -180,7 +213,7 @@ def doubling(n):
 def expansion_size(text):
     game = parse_rbg(text)
     built = [0]
-    expand._expand(game.rules, game.macros, {}, 0, built)
+    expand._expand(game.rules, game.macros, game.board_directions, {}, 0, built)
     return built[0]
 
 
