@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -42,8 +43,10 @@ def _usage_problem(args) -> str | None:
         except library.UnknownGame:
             return f"unknown game {game!r}"
     seconds = getattr(args, "seconds", None)
-    if seconds is not None and not seconds > 0:
-        return f"--seconds must be positive, not {seconds}"
+    if seconds is not None and not 0 < seconds < math.inf:
+        return f"--seconds must be positive and finite, not {seconds}"
+    if getattr(args, "seed", 0) < 0:
+        return f"--seed must be non-negative, not {args.seed}"
     if getattr(args, "count", 1) < 1:
         return f"--count must be positive, not {args.count}"
     for flag in ("depth", "walks", "plies", "warmup"):

@@ -82,8 +82,10 @@ class Move:
     # Private front-end payload (automaton node for the regex dialect).
     control: object = None
     # Canonical ordering key for the state the move was listed in, set by
-    # the generator or by ``Engine.sort_moves``; equal keys mean equal
-    # state deltas.  Not part of the move's identity.
+    # the generator (the ludemic integer key, or the delta text the
+    # compiled rbg walker builds at the move's EMIT) or by
+    # ``Engine.sort_moves``; equal keys mean equal state deltas.  Not
+    # part of the move's identity.
     key: object = field(default=None, compare=False, repr=False)
 
     def destination(self) -> int:

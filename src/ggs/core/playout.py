@@ -97,11 +97,16 @@ class Engine:
     def sort_moves(self, state: GameState, moves: list[Move]) -> list[Move]:
         """Canonical order: delta text, then raw effect text among moves
         with equal delta text; moves equal in both keep their input order.
-        Each move keeps its delta text as its ``key``."""
-        texts = self.delta_texts(state, moves)
-        for m, text in zip(moves, texts):
+        Keys the generator attached are used when every move carries
+        one; otherwise each move gets its delta text as its ``key``."""
+        if moves and moves[0].key is not None:
+            keys = [m.key for m in moves]
+            if None not in keys:
+                return self.order_by_keys(moves, keys)
+        keys = self.delta_texts(state, moves)
+        for m, text in zip(moves, keys):
             m.key = text
-        return self.order_by_keys(moves, texts)
+        return self.order_by_keys(moves, keys)
 
     def order_by_keys(self, moves: list[Move], keys: list) -> list[Move]:
         """Sort by ``keys`` (ordered as the delta texts), then by raw effect
@@ -136,6 +141,45 @@ def _delta_suffix(state: GameState, effects) -> str:
         if old.get(name, 0) != variables[name]
     )
     return f"{text};mover={mover}"
+
+
+def tail_delta_text(
+    state: GameState, prefix, vertex: int, piece, rest: tuple, tokens, suffixes
+):
+    """The delta text (``Engine.delta_texts``) of a move made of the
+    effects ``prefix``, then a write of ``piece`` at ``vertex`` (none when
+    ``piece`` is None), then the non-cell effects ``rest``; None when
+    ``prefix`` holds more than one cell write.  ``tokens`` is
+    ``Engine.cell_tokens``; ``suffixes`` maps non-cell effects to their
+    ``;var:...;mover=n`` end and is shared only by moves of one state."""
+    one = None
+    pre = ()
+    for eff in prefix:
+        if eff[0] != "cell":
+            pre += (eff,)
+        elif one is None:
+            one = eff
+        else:
+            return None
+    if pre:
+        rest = pre + rest
+    suffix = suffixes.get(rest)
+    if suffix is None:
+        suffix = suffixes[rest] = _delta_suffix(state, rest)
+    contents = state.contents
+    if one is not None and (
+        one[1] == vertex and piece is not None or contents[one[1]] == one[2]
+    ):
+        one = None  # overwritten by the tail's write, or a no-op
+    if piece is not None and contents[vertex] != piece:
+        text = tokens[vertex][piece]
+        if one is not None:
+            other = tokens[one[1]][one[2]]
+            text = f"{text},{other}" if text < other else f"{other},{text}"
+        return text + suffix
+    if one is not None:
+        return tokens[one[1]][one[2]] + suffix
+    return suffix
 
 
 @dataclass

@@ -24,7 +24,8 @@ so the walker never runs a FORK or SHIFT of that program.  One more
 fold is made only there: a SET/ASSIGN edge that starts a chain of such
 edges, one per node, ending in a switch or keep becomes an EMIT that
 carries the chain's writes, so it emits the move the chain would build
-without stepping through it.
+without stepping through it, along with what the chain adds to the
+move's delta text wherever it runs (``emit_key_parts``).
 
 Every CHECK carries a per-vertex table, shared by the checks on one
 body, of what the body asks at each vertex: a constant, an OR of ANDs of
@@ -50,12 +51,15 @@ SHIFT = 1     # (SHIFT, dir, next)
 ON = 2        # (ON, pieceset, next)
 SET = 4       # (SET, piece, next)
 ASSIGN = 5    # (ASSIGN, assigns, next)
-EMIT = 6      # (EMIT, writes, player_or_None, control_node, table)
+EMIT = 6      # (EMIT, writes, player_or_None, control_node, table,
+#               key_parts)
 #               None => keep mover; writes: ((SET, piece) | (ASSIGN,
 #               assigns), ...) made before the move is emitted, () for a
 #               plain switch or keep; table: vertex -> the move's tail
 #               there (``emit_tail``): the writes' effects, then a
-#               switch's pass, filled on first use
+#               switch's pass, filled on first use; key_parts: what the
+#               tail adds to the move's key (``emit_key_parts``), None
+#               for a plain switch or keep
 CHECK = 8     # (CHECK, positive, sub_entry, pure, next, sub_nfa, tests)
 #               tests: vertex -> what the body asks there (``check_tests``),
 #               filled on first use and shared by the body's checks
@@ -217,6 +221,23 @@ def emit_tail(writes: tuple, player, vertex: int) -> tuple:
     return tuple(effects)
 
 
+def emit_key_parts(writes: tuple, player) -> tuple:
+    """(piece, rest): what the tail of an EMIT with ``writes`` adds to
+    its move's delta text at any vertex.  ``piece`` is what the last SET
+    leaves at the vertex (None without a SET); ``rest`` is the tail's
+    non-cell effects, in order, a switch's pass included."""
+    piece = None
+    rest: list = []
+    for op, arg in writes:
+        if op == SET:
+            piece = arg
+        else:
+            rest.extend(("var", n, v) for n, v in arg)
+    if player is not None:
+        rest.append(("pass", player))
+    return piece, tuple(rest)
+
+
 def region_exits(program: LoweredProgram, start: int) -> tuple[int, tuple]:
     """(size, exits) of the region a JUMPS into instruction ``start``
     stands for: how many FORK/SHIFT steps it holds, and every instruction
@@ -331,7 +352,11 @@ class _Lowerer:
                 writes.append((ASSIGN, label[1]))
             elif kind in ("switch", "keep") and writes:
                 player = label[1] if kind == "switch" else None
-                return (EMIT, tuple(writes), player, target, {})
+                writes = tuple(writes)
+                return (
+                    EMIT, writes, player, target, {},
+                    emit_key_parts(writes, player),
+                )
             else:
                 return None
             if target in seen or len(edges[target]) != 1:
@@ -344,9 +369,9 @@ class _Lowerer:
         goes on through ``enter(target)``."""
         kind = label[0]
         if kind == "switch":
-            return (EMIT, (), label[1], target, {})
+            return (EMIT, (), label[1], target, {}, None)
         if kind == "keep":
-            return (EMIT, (), None, target, {})
+            return (EMIT, (), None, target, {}, None)
         if kind == "check":
             sub = label[2]
             body = self.bodies.get(id(sub))

@@ -28,7 +28,16 @@ carries writes stands for a chain of writes that ends in a switch or
 keep: its tail at the current vertex (built on first use) holds the
 chain's effects, so it emits the move with no board write or undo
 entry, and a move made with no earlier write is that tail object
-itself.
+itself.  Such an EMIT also keys the move it emits with its delta text
+(``Move.key``, as ``Engine.delta_texts`` builds it) when at most one
+cell write came before it (``playout.tail_delta_text``): that write, the
+piece the tail leaves at the vertex, the tail's non-cell effects
+(compiled into the EMIT) and the state's own cells are all the text
+needs, and the ``;var:...;mover=n`` end is built once per call for each
+distinct tuple of non-cell effects.  Once a move of the call cannot be
+keyed, no later one is, since ``sort_moves`` then orders the whole list
+by ``delta_texts``; so Reversi's flips and the interpreter, whose EMITs
+carry no writes, key nothing.
 
 A lookahead check first reads its body's per-vertex table, built on
 first use and kept for the engine's lifetime: where the body only tests
@@ -64,7 +73,7 @@ from ..core.model import (
     PieceTable,
     apply_effects,
 )
-from ..core.playout import Engine
+from ..core.playout import Engine, tail_delta_text
 from . import ast, compiler
 from .compiler import (
     ACCEPT,
@@ -309,12 +318,13 @@ class RbgEngineBase(Engine):
         effect id).  Each effect sequence a SET or ASSIGN builds gets an
         interned id, so configuration and lookahead keys are O(1) to
         build.  An EMIT interns nothing and adds no configuration: it
-        appends its per-vertex tail to the effects and keys the move by
-        that tuple, keeping the smaller control point on a repeat.  A step
-        with one successor continues in the loop; further FORK branches
-        and JUMPS exits are pushed in reverse, and a write pushes the
-        entry that undoes it beneath its successor, so the board, the
-        variables and the effect list are back when a sibling is popped.
+        appends its per-vertex tail to the effects and files the move
+        under that tuple; a repeat keeps the first move and its ordering
+        key, and the smaller control point.  A step with one successor
+        continues in the loop; further FORK branches and JUMPS exits are
+        pushed in reverse, and a write pushes the entry that undoes it
+        beneath its successor, so the board, the variables and the effect
+        list are back when a sibling is popped.
         """
         prog = self.program
         instrs = prog.instrs
@@ -329,6 +339,10 @@ class RbgEngineBase(Engine):
         # (sub entry, vertex, effect id) -> body found; within this call
         # the effects fix the tentative board and variables.
         lookahead: dict = {}
+        # keys are attached while every move so far has one
+        keying = True
+        tokens = self.cell_tokens
+        suffixes: dict = {}  # non-cell effects -> their delta text
         cap = self._effect_cap
         stack = [(prog.entry[state.control], state.current_vertex, 0)]
         while stack:
@@ -364,7 +378,16 @@ class RbgEngineBase(Engine):
                     control = (instr[3], vertex)
                     move = found.get(seq)
                     if move is None:
-                        found[seq] = Move(seq, player is None, control)
+                        text = None
+                        if keying:
+                            parts = instr[5]
+                            if parts is not None:
+                                text = tail_delta_text(
+                                    state, effects, vertex, parts[0], parts[1],
+                                    tokens, suffixes,
+                                )
+                            keying = text is not None
+                        found[seq] = Move(seq, player is None, control, text)
                     elif control < move.control:
                         move.control = control
                     break

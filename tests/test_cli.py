@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from ggs import library
+from ggs import cli, library
 
 from test_ludeme_compile import BAD_DESCRIPTIONS
 
@@ -51,6 +51,27 @@ def test_bad_game_budget_and_depth_exit_2_on_one_line():
         assert proc.returncode == 2, (args, proc.stderr)
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1, (args, proc.stderr)
+
+
+@pytest.mark.parametrize("sub", ("bench", "table"))
+@pytest.mark.parametrize("seconds", ("inf", "-inf", "nan", "1e999"))
+def test_non_finite_seconds_is_a_usage_problem(sub, seconds):
+    # checked before anything runs: an infinite budget would never end
+    args = cli.build_parser().parse_args([sub, "tictactoe", f"--seconds={seconds}"])
+    assert "--seconds must be positive and finite" in cli._usage_problem(args)
+
+
+@pytest.mark.parametrize("sub", ("bench", "xval", "table"))
+def test_negative_seed_exits_2_on_one_line(sub, capsys):
+    # a negative seed would be masked to a 64-bit one and run silently
+    args = [sub, "tictactoe", "--seed", "-1"]
+    assert cli._usage_problem(cli.build_parser().parse_args(args)) == (
+        "--seed must be non-negative, not -1"
+    )
+    assert cli.main(args + ["--count", "1"] * (sub != "xval")) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"ggs {sub}: error: --seed must be non-negative, not -1\n"
 
 
 def test_validate_library_files():

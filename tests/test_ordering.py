@@ -16,6 +16,9 @@ from ggs.core.model import (
 from ggs.core import playout
 from ggs.core.playout import Engine
 from ggs.core.rng import Prng
+from ggs.rbg.engine import RbgCompiledEngine, RbgInterpreterEngine
+
+from test_rbg_engine import micro_game
 
 # Plies per walk; Gomoku states list ~225 moves, so its walks stay short.
 WALK_PLIES = {
@@ -234,3 +237,122 @@ def test_hex_first_probe_builds_its_suffix_once(monkeypatch):
     assert {m.key[m.key.index(";"):] for m in moves} == {
         ";var:red=100;mover=2"
     }
+
+
+# -- keys the rbg walker attaches at its EMITs ---------------------------
+
+# Turn pieces over a 2x3 board of e, w, b: steps that move or test,
+# writes, and the ends of a turn.  Stars hold steps only, so every turn
+# has finitely many effect sequences.
+STEPS = ("(right)", "(left)", "(down)", "(up)", "(right)*", "{e}", "{w, b}")
+CELL_WRITES = ("[e]", "[w]", "[b]")
+VAR_WRITES = ("[$ p=0]", "[$ p=1]", "[$ q=2]", "[$ p=1, q=0]")
+TAIL_SHAPES = (
+    "[w] {w} [b]",        # the tail overwrites the earlier cell
+    "[w] {w} [e]",        # ... back to what it held (on an empty cell)
+    "[e]",                # a no-op on an empty cell
+    "[$ p=1] [w]",        # a chain that assigns before it writes
+    "[w] (right) [b]",    # two cells, in either token order
+    "[w] (left) [b]",
+)
+
+
+@st.composite
+def keyed_micro_games(draw):
+    """Rules text ``->p ( turn + ... )*`` whose turns mix steps, writes
+    and ends (switch, keep, or a keep then more), so EMITs meet no-op
+    writes, tails over an earlier write, var chains, keeps and switches
+    with equal writes, and one move reached from several control points."""
+    pieces = st.sampled_from(STEPS + CELL_WRITES + VAR_WRITES + TAIL_SHAPES)
+    chains = st.lists(st.sampled_from(CELL_WRITES + VAR_WRITES), max_size=2)
+
+    def part():
+        body = draw(st.lists(pieces, max_size=3)) + draw(chains)
+        return " ".join(body)
+
+    turns = []
+    for _ in range(draw(st.integers(1, 3))):
+        end = draw(st.sampled_from(("-> q", "->>", "keep, then")))
+        if end == "keep, then":
+            turns.append(f"{part()} ->> {part()} -> q")
+        else:
+            # a twin with the same writes: one ending in the other end
+            # (keep and switch), or in the same end at another control point
+            body = part()
+            twin = draw(st.sampled_from(("", "->>", "-> q")))
+            turns.append(
+                f"({body} {end} + {body} {twin})" if twin else f"{body} {end}"
+            )
+    return "->p ( " + " + ".join(turns) + " )*"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(
+    rules=keyed_micro_games(),
+    boards=st.lists(
+        st.lists(st.sampled_from(("e", "w", "b")), min_size=6, max_size=6),
+        min_size=2, max_size=3,
+    ),
+    data=st.data(),
+)
+def test_walker_keys_equal_delta_texts(rules, boards, data):
+    game = micro_game([["e"] * 3] * 2, rules)
+    engines = [RbgInterpreterEngine(game), RbgCompiledEngine(game)]
+    controls = sorted(set(engines[0].program.entry) & set(engines[1].program.entry))
+    # several states per engine: nothing keyed in one call may leak into
+    # the next, whose mover, variables and board differ
+    for cells in boards:
+        s = game.initial_state()
+        s.contents = [game.pieces.id_of(c) for c in cells]
+        s.mover = data.draw(st.integers(1, 2))
+        s.variables = {v: data.draw(st.integers(0, 2)) for v in ("p", "q")}
+        s.control = data.draw(st.sampled_from(controls))
+        s.current_vertex = data.draw(st.integers(0, 5))
+        for eng in engines:
+            moves = eng.semimoves(s)
+            for m in moves:
+                if m.key is not None:
+                    assert m.key == eng.delta_texts(s, [m])[0], (rules, m)
+            got = eng.sort_moves(s, list(moves))
+            want = reference_order(eng, s, moves)
+            assert [id(m) for m in got] == [id(m) for m in want]
+
+
+# Library programs whose every listed move is keyed where it is emitted;
+# Reversi's flips write many cells before the EMIT, and the interpreter's
+# EMITs carry no writes, so those lists are ordered by delta text.
+KEYED_PROGRAMS = {
+    (game, "compiled")
+    for game in (
+        "Amazons", "Breakthrough", "Connect-4", "Gomoku", "Hex", "Tic-Tac-Toe"
+    )
+}
+
+
+def test_seed_zero_playouts_key_every_move_where_pinned(monkeypatch):
+    texts = []
+    delta_texts = Engine.delta_texts
+
+    def spy(self, state, moves):
+        texts.append(len(moves))
+        return delta_texts(self, state, moves)
+
+    monkeypatch.setattr(Engine, "delta_texts", spy)
+    for game in sorted(WALK_PLIES):
+        for mode in ("interpreter", "compiled"):
+            engine = library.make_engine(game, mode)
+            rng = Prng(0)
+            state = engine.initial_state()
+            want = (game, mode) in KEYED_PROGRAMS
+            # the seed-0 playout of ``run_playout``, to its end
+            while True:
+                raw = engine.semimoves(state)
+                texts.clear()
+                moves, payoffs = engine.probe(state)
+                if payoffs is not None:
+                    break
+                keyed = None not in [m.key for m in raw]
+                assert keyed == want, (game, mode, state.turn_number)
+                # ordering reads delta texts exactly when a move is unkeyed
+                assert bool(texts) != keyed
+                state = engine.apply(state, moves[rng.uniform_index(len(moves))])
